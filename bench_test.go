@@ -221,3 +221,42 @@ func BenchmarkOracleViewAdversarial(b *testing.B) {
 		_ = o.ATheta(1, int64(i))
 	}
 }
+
+// BenchmarkQuiescentTickHistory measures one Task-1 pass of a process
+// that has retired 1k or 10k messages and holds eight undelivered ones
+// in MSG_i, under unchanged views. The retirement index makes a pass
+// cost O(|MSG_i| + dirty records), so ns/op must stay flat across the
+// two history sizes; growth with history is a regression.
+func BenchmarkQuiescentTickHistory(b *testing.B) {
+	for _, retired := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("retired=%d", retired), func(b *testing.B) {
+			l := func(i uint64) ident.Tag { return ident.Tag{Hi: i, Lo: 1} }
+			view := fd.Normalize(fd.View{{Label: l(1), Number: 3}, {Label: l(2), Number: 3}, {Label: l(3), Number: 3}})
+			p := urb.NewQuiescent(fd.Static{Theta: view, Star: view}, ident.NewSource(xrand.New(11)),
+				urb.Config{DeltaAcks: true, CompactDelivered: true, CheckOnTick: true})
+			labels := []ident.Tag{l(1), l(2), l(3)}
+			for i := 0; i < retired; i++ {
+				id := wire.MsgID{Tag: ident.Tag{Hi: 77, Lo: uint64(i + 1)}, Body: fmt.Sprintf("h%05d", i)}
+				p.Receive(wire.NewMsg(id))
+				for a := uint64(0); a < 3; a++ {
+					p.Receive(wire.NewAckSnapshot(id, l(100+a), 1, labels))
+				}
+				if i%64 == 63 {
+					p.Tick()
+				}
+			}
+			for i := 0; i < 8; i++ {
+				p.Receive(wire.NewMsg(wire.MsgID{Tag: ident.Tag{Hi: 78, Lo: uint64(i + 1)}, Body: "live"}))
+			}
+			p.Tick()
+			if st := p.Stats(); st.Retired != retired || st.MsgSet != 8 {
+				b.Fatalf("setup: Retired=%d MsgSet=%d", st.Retired, st.MsgSet)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Tick()
+			}
+		})
+	}
+}

@@ -48,6 +48,11 @@ type View []Pair
 // Detector is the per-process handle Algorithm 2 consumes. Both methods
 // return the current view; implementations must be cheap to call, as the
 // algorithm reads them on every ACK receipt and every Task-1 tick.
+//
+// Returned views are read-only and may be shared: an implementation may
+// hand the same slice to every caller until the view changes (Heartbeat
+// caches its view this way), so callers must never modify a returned
+// view, and an implementation never modifies a view once returned.
 type Detector interface {
 	// ATheta returns the current AΘ view.
 	ATheta() View

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"math"
 	"sort"
 
 	"anonurb/internal/ident"
@@ -42,6 +43,13 @@ import (
 //
 // Heartbeat is not safe for concurrent use; the hosting runtime
 // serialises calls as it does for urb.Process.
+//
+// The view is a pure function of the clock and the heard map, and it is
+// cached (DESIGN.md §6): ATheta and APStar return the same read-only
+// slice until the clock reaches the earliest trusted label's expiry
+// (lastHeard + timeout + 1) or reads below the time the cache was built,
+// or until a Hear of an unknown or expired label, Relabel or
+// RestoreHeard — the only events that can change the view.
 type Heartbeat struct {
 	label   ident.Tag
 	timeout int64
@@ -50,6 +58,11 @@ type Heartbeat struct {
 	// implicitly always fresh.
 	lastHeard map[ident.Tag]int64
 	order     []ident.Tag
+	// cache is the view built at clock reading cacheAt, valid for
+	// readings in [cacheAt, cacheUntil); cacheUntil <= cacheAt (the zero
+	// value included) means no valid cache.
+	cache               View
+	cacheAt, cacheUntil int64
 }
 
 // NewHeartbeat builds a heartbeat detector with the given permanent
@@ -79,7 +92,10 @@ func (h *Heartbeat) Timeout() int64 { return h.timeout }
 // towards its peers, so a process restored from a snapshot must adopt
 // the label it beat under before the crash rather than the fresh one its
 // reconstruction drew.
-func (h *Heartbeat) Relabel(label ident.Tag) { h.label = label }
+func (h *Heartbeat) Relabel(label ident.Tag) {
+	h.label = label
+	h.invalidate()
+}
 
 // HeardLabel is one entry of the detector's heard map: a label and the
 // clock time it was last heard (snapshot support for crash-recovery
@@ -104,6 +120,7 @@ func (h *Heartbeat) Heard() []HeardLabel {
 // snapshot; entries whose times predate the restarted clock's epoch
 // simply read as expired, the conservative outcome.
 func (h *Heartbeat) RestoreHeard(entries []HeardLabel) {
+	h.invalidate()
 	h.lastHeard = make(map[ident.Tag]int64, len(entries))
 	h.order = h.order[:0]
 	for _, e := range entries {
@@ -116,43 +133,75 @@ func (h *Heartbeat) RestoreHeard(entries []HeardLabel) {
 
 // Hear records an ALIVE(label) reception.
 func (h *Heartbeat) Hear(label ident.Tag) {
-	if _, known := h.lastHeard[label]; !known {
+	now := h.clock()
+	prev, known := h.lastHeard[label]
+	if !known {
 		h.order = append(h.order, label)
 	}
-	h.lastHeard[label] = h.clock()
+	// Refreshing a label that is trusted now, at a reading inside the
+	// cache's window, only extends its trust: the cached view stands
+	// (its expiry bound turns conservative). Anything else — an unknown
+	// or expired label, or a clock that moved backwards — may change it.
+	if !known || now < prev || now-prev > h.timeout || now < h.cacheAt || now >= h.cacheUntil {
+		h.invalidate()
+	}
+	h.lastHeard[label] = now
 }
 
-// trusted returns the currently trusted labels (own label included),
-// sorted for determinism.
-func (h *Heartbeat) trusted() []ident.Tag {
+func (h *Heartbeat) invalidate() { h.cacheUntil = h.cacheAt }
+
+// view returns the cached view while the clock stays inside its window.
+//
+//urb:hotpath
+func (h *Heartbeat) view() View {
 	now := h.clock()
-	out := []ident.Tag{h.label}
+	if now >= h.cacheAt && now < h.cacheUntil {
+		return h.cache
+	}
+	return h.rebuild(now)
+}
+
+// rebuild computes the view at clock reading now from scratch: every
+// label heard within the timeout is trusted (the own label always),
+// each paired with the trusted count, sorted for determinism. It caches
+// the result until the earliest trusted label expires. Caching is
+// skipped for negative clock readings or heard times, where the trust
+// test could overflow and the expiry bound would not be exact.
+func (h *Heartbeat) rebuild(now int64) View {
+	until := int64(math.MaxInt64)
+	cacheable := now >= 0
+	ts := []ident.Tag{h.label}
 	for _, l := range h.order {
 		if l == h.label {
 			continue
 		}
-		if now-h.lastHeard[l] <= h.timeout {
-			out = append(out, l)
+		at := h.lastHeard[l]
+		if at < 0 {
+			cacheable = false
+		}
+		if now-at <= h.timeout {
+			ts = append(ts, l)
+			if at <= math.MaxInt64-h.timeout-1 && at+h.timeout+1 < until {
+				until = at + h.timeout + 1
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// view builds the (label, number) view from the trusted set.
-func (h *Heartbeat) view() View {
-	ts := h.trusted()
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Less(ts[j]) })
 	v := make(View, len(ts))
 	for i, l := range ts {
 		v[i] = Pair{Label: l, Number: len(ts)}
 	}
+	h.cache, h.cacheAt, h.cacheUntil = v, now, until
+	if !cacheable {
+		h.invalidate()
+	}
 	return v
 }
 
-// ATheta implements Detector.
+// ATheta implements Detector. The view is shared and read-only.
 func (h *Heartbeat) ATheta() View { return h.view() }
 
-// APStar implements Detector.
+// APStar implements Detector. The view is shared and read-only.
 func (h *Heartbeat) APStar() View { return h.view() }
 
 var _ Detector = (*Heartbeat)(nil)

@@ -60,7 +60,7 @@ func TestQuiescentCompactionCopyOnWrite(t *testing.T) {
 	if p.Claims(id, lbl(2)) != 1 {
 		t.Fatalf("claims[l2] = %d, want 1", p.Claims(id, lbl(2)))
 	}
-	if got := p.acks[id].byAcker[lbl(101)].labels.Len(); got != 1 {
+	if got := p.ackState(id).byAcker[lbl(101)].labels.Len(); got != 1 {
 		t.Fatalf("shared set mutated through the other acker: len=%d", got)
 	}
 	// And dropping it again re-merges the two views onto one set.

@@ -465,7 +465,7 @@ func (c *eqCluster) drain(t *testing.T, name string) {
 // (bodies are unique per broadcast, and tags differ between clusters).
 func claimsByBody(p *Quiescent) map[string]map[ident.Tag]int {
 	out := make(map[string]map[ident.Tag]int)
-	for id, st := range p.acks {
+	for id, st := range p.ackStates() {
 		m := make(map[ident.Tag]int, len(st.claims))
 		for l, c := range st.claims {
 			m[l] = c
@@ -476,8 +476,8 @@ func claimsByBody(p *Quiescent) map[string]map[ident.Tag]int {
 }
 
 func deliveredBodies(p *Quiescent) map[string]bool {
-	out := make(map[string]bool, len(p.delivered))
-	for id := range p.delivered {
+	out := make(map[string]bool, p.delivered)
+	for id := range p.deliveredIDs() {
 		out[id.Body] = true
 	}
 	return out

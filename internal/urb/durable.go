@@ -202,10 +202,10 @@ func (w *stateWriter) tags(ts []ident.Tag) {
 		w.tag(t)
 	}
 }
-func (w *stateWriter) ids(ids []wire.MsgID) {
-	w.u32(uint32(len(ids)))
-	for _, id := range ids {
-		w.msgID(id)
+func (w *stateWriter) ids(recs []*msgRec) {
+	w.u32(uint32(len(recs)))
+	for _, r := range recs {
+		w.msgID(r.id)
 	}
 }
 
@@ -329,24 +329,27 @@ func (r *stateReader) done() error {
 	return nil
 }
 
-// sortIDs orders message identities canonically (tag, then body).
-func sortIDs(ids []wire.MsgID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if c := ids[i].Tag.Compare(ids[j].Tag); c != 0 {
+// sortedRecs returns the records keep selects, in canonical order of
+// message identity (tag, then body).
+func (c *common) sortedRecs(keep func(*msgRec) bool) []*msgRec {
+	var out []*msgRec
+	for _, r := range c.recs {
+		if keep(r) {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if c := out[i].id.Tag.Compare(out[j].id.Tag); c != 0 {
 			return c < 0
 		}
-		return ids[i].Body < ids[j].Body
+		return out[i].id.Body < out[j].id.Body
 	})
+	return out
 }
 
-// sortedKeys returns a map's MsgID keys in canonical order.
-func sortedKeys[V any](m map[wire.MsgID]V) []wire.MsgID {
-	ids := make([]wire.MsgID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	return ids
+// sortedWith returns the records carrying flag f, in canonical order.
+func (c *common) sortedWith(f recFlags) []*msgRec {
+	return c.sortedRecs(func(r *msgRec) bool { return r.is(f) })
 }
 
 // snapDigest hashes a snapshot's payload bytes together with the state
@@ -409,23 +412,14 @@ func (c *common) encodeCommon(w *stateWriter) {
 	w.u8(cfgFlags(c.cfg))
 	w.u64(c.tags.Draws())
 	w.u64(c.wireSent)
-	w.ids(c.msgs.snapshotIDs()) // insertion order: Task-1 iteration order is state
-	saw := make([]wire.MsgID, 0, len(c.sawMsg))
-	for id := range c.sawMsg {
-		saw = append(saw, id)
-	}
-	sortIDs(saw)
-	w.ids(saw)
-	del := make([]wire.MsgID, 0, len(c.delivered))
-	for id := range c.delivered {
-		del = append(del, id)
-	}
-	sortIDs(del)
-	w.ids(del)
-	w.u32(uint32(len(c.mine)))
-	for _, id := range sortedKeys(c.mine) {
-		w.msgID(id)
-		w.tag(c.mine[id])
+	w.ids(c.msgs) // insertion order: Task-1 iteration order is state
+	w.ids(c.sortedWith(recSeen))
+	w.ids(c.sortedWith(recDelivered))
+	pinned := c.sortedWith(recPinned)
+	w.u32(uint32(len(pinned)))
+	for _, r := range pinned {
+		w.msgID(r.id)
+		w.tag(r.mine)
 	}
 }
 
@@ -447,20 +441,20 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 	if r.err != nil {
 		return
 	}
-	mine := make(myAcks, n)
+	fresh := common{cfg: c.cfg, tags: c.tags, recs: make(map[wire.MsgID]*msgRec, n+len(saw))}
 	for i := 0; i < n; i++ {
 		id := r.msgID()
-		mine[id] = r.tag()
+		fresh.pin(fresh.record(id), r.tag())
 	}
 	if r.err != nil {
 		return
 	}
 	// Plausibility bound before fast-forwarding the stream: every draw is
-	// either a tag_ack pin (mine, which never shrinks) or a local
-	// broadcast (whose id stays in sawMsg forever), plus at most one
-	// detector label for a wrapping host. A corrupted draw counter beyond
-	// that would otherwise spin SkipTo for billions of throwaway draws.
-	if draws > uint64(len(mine))+uint64(len(saw))+1 {
+	// either a tag_ack pin (MY_ACK_i, which never shrinks) or a local
+	// broadcast (whose id stays seen forever), plus at most one detector
+	// label for a wrapping host. A corrupted draw counter beyond that
+	// would otherwise spin SkipTo for billions of throwaway draws.
+	if draws > uint64(fresh.pinned)+uint64(len(saw))+1 {
 		r.fail(fmt.Errorf("%w: draw counter %d exceeds state plausibility bound", ErrSnapshotMismatch, draws))
 		return
 	}
@@ -468,20 +462,18 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 		r.fail(fmt.Errorf("%w: %v", ErrSnapshotMismatch, err))
 		return
 	}
-	c.wireSent = wireSent
-	c.msgs = newMsgSet()
 	for _, id := range msgs {
-		c.msgs.add(id)
+		fresh.addMsg(fresh.record(id))
 	}
-	c.sawMsg = make(map[wire.MsgID]bool, len(saw))
 	for _, id := range saw {
-		c.sawMsg[id] = true
+		fresh.record(id).flags |= recSeen
 	}
-	c.delivered = make(deliveredSet, len(del))
 	for _, id := range del {
-		c.delivered[id] = true
+		fresh.markDelivered(fresh.record(id))
 	}
-	c.mine = mine
+	fresh.wireSent = wireSent
+	fresh.tr = c.tr
+	*c = fresh
 }
 
 // applyCommonWAL realises the kind-independent part of WAL replay and
@@ -492,24 +484,27 @@ func (c *common) decodeCommon(r *stateReader, wantCfg Config) {
 func (c *common) applyCommonWAL(rec DurableEvent, guardDelivered bool) error {
 	switch rec.Kind {
 	case WALDeliver:
-		c.delivered[rec.ID] = true
-		c.sawMsg[rec.ID] = true
+		r := c.record(rec.ID)
+		c.markDelivered(r)
+		r.flags |= recSeen
 		if !guardDelivered {
-			c.msgs.add(rec.ID)
+			c.addMsg(r)
 		}
 	case WALPin:
 		if rec.Ack.Zero() {
 			return fmt.Errorf("%w: pin with zero tag_ack", ErrWALRecord)
 		}
-		c.mine[rec.ID] = rec.Ack
-		c.sawMsg[rec.ID] = true
-		if !guardDelivered || !c.delivered[rec.ID] {
-			c.msgs.add(rec.ID)
+		r := c.record(rec.ID)
+		c.pin(r, rec.Ack)
+		r.flags |= recSeen
+		if !guardDelivered || !r.is(recDelivered) {
+			c.addMsg(r)
 		}
 	case WALBroadcast:
-		c.sawMsg[rec.ID] = true
-		if !guardDelivered || !c.delivered[rec.ID] {
-			c.msgs.add(rec.ID)
+		r := c.record(rec.ID)
+		r.flags |= recSeen
+		if !guardDelivered || !r.is(recDelivered) {
+			c.addMsg(r)
 		}
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrWALRecord, rec.Kind)
@@ -538,10 +533,10 @@ func (p *Majority) Snapshot() []byte {
 	w.u32(uint32(p.n))
 	w.u32(uint32(p.threshold))
 	p.encodeCommon(&w)
-	w.u32(uint32(len(p.ackOrder)))
-	for _, id := range p.ackOrder {
-		w.msgID(id)
-		w.tags(p.acks[id].Slice())
+	w.u32(uint32(len(p.acked)))
+	for _, r := range p.acked {
+		w.msgID(r.id)
+		w.tags(r.tally.Slice())
 	}
 	w.u64(snapDigest(w.b, p.Fingerprint()))
 	return w.b
@@ -567,16 +562,18 @@ func (p *Majority) Restore(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	p.acks = make(map[wire.MsgID]*ident.Set, cnt)
-	p.ackOrder = p.ackOrder[:0]
 	for i := 0; i < cnt; i++ {
 		id := r.msgID()
 		labels := r.tagList()
 		if r.err != nil {
 			return r.err
 		}
-		p.acks[id] = ident.NewSet(labels...)
-		p.ackOrder = append(p.ackOrder, id)
+		rec := p.record(id)
+		if rec.tally != nil {
+			return fmt.Errorf("%w: duplicate message in snapshot ACK section", ErrSnapshotMismatch)
+		}
+		rec.tally = ident.NewSet(labels...)
+		p.noteAcked(rec)
 	}
 	digest := r.u64()
 	if err := r.done(); err != nil {
@@ -617,7 +614,7 @@ func (p *Quiescent) Snapshot() []byte {
 	w.u64(p.ticks)
 	w.u64(p.epochFloor)
 	// First pass: assign set-table indices in deterministic first-use
-	// order over the (ackOrder, ackerOrder) walk.
+	// order over the (first-ACK order, ackerOrder) walk.
 	tableIdx := make(map[string]uint32)
 	var tableSets []*ident.Set
 	refOf := func(s *ident.Set) uint32 {
@@ -636,25 +633,25 @@ func (p *Quiescent) Snapshot() []byte {
 		synced bool
 		ref    uint32
 	}
-	views := make(map[wire.MsgID][]viewRef, len(p.ackOrder))
-	for _, id := range p.ackOrder {
-		st := p.acks[id]
+	views := make([][]viewRef, len(p.acked))
+	for i, r := range p.acked {
+		st := r.st
 		vs := make([]viewRef, 0, len(st.ackerOrder))
 		for _, acker := range st.ackerOrder {
 			v := st.byAcker[acker]
 			vs = append(vs, viewRef{acker: acker, epoch: v.epoch, synced: v.synced, ref: refOf(v.labels)})
 		}
-		views[id] = vs
+		views[i] = vs
 	}
 	w.u32(uint32(len(tableSets)))
 	for _, s := range tableSets {
 		w.tags(s.Slice())
 	}
-	w.u32(uint32(len(p.ackOrder)))
-	for _, id := range p.ackOrder {
-		w.msgID(id)
-		st := p.acks[id]
-		vs := views[id]
+	w.u32(uint32(len(p.acked)))
+	for i, r := range p.acked {
+		w.msgID(r.id)
+		st := r.st
+		vs := views[i]
 		w.u32(uint32(len(vs)))
 		for _, v := range vs {
 			w.tag(v.acker)
@@ -673,10 +670,11 @@ func (p *Quiescent) Snapshot() []byte {
 			w.u64(st.reqTick[acker])
 		}
 	}
-	w.u32(uint32(len(p.ackSend)))
-	for _, id := range sortedKeys(p.ackSend) {
-		st := p.ackSend[id]
-		w.msgID(id)
+	ledger := p.sortedRecs(func(r *msgRec) bool { return r.ledger != nil })
+	w.u32(uint32(len(ledger)))
+	for _, r := range ledger {
+		st := r.ledger
+		w.msgID(r.id)
 		w.u64(st.epoch)
 		w.u64(st.reAckTick)
 		w.u64(st.snapTick)
@@ -715,13 +713,18 @@ func (p *Quiescent) Restore(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	sets := setIntern{}
-	acks := make(map[wire.MsgID]*ackState, cnt)
-	ackOrder := make([]wire.MsgID, 0, cnt)
+	p.sets = setIntern{}
+	p.dirty = p.dirty[:0]
 	for i := 0; i < cnt; i++ {
 		id := r.msgID()
-		st := newAckState()
-		st.compacted = p.cfg.CompactDelivered && p.delivered[id]
+		if r.err != nil {
+			return r.err
+		}
+		rec := p.record(id)
+		if rec.st != nil {
+			return fmt.Errorf("%w: duplicate message in snapshot ACK section", ErrSnapshotMismatch)
+		}
+		st := p.ackStateFor(rec)
 		ackers := r.count(16 + 8 + 1 + 4)
 		for j := 0; j < ackers; j++ {
 			acker := r.tag()
@@ -743,7 +746,7 @@ func (p *Quiescent) Restore(data []byte) error {
 			}
 			st.byAcker[acker] = v
 			st.ackerOrder = append(st.ackerOrder, acker)
-			st.internView(&sets, v)
+			st.internView(&p.sets, v)
 		}
 		reqs := r.count(16 + 8)
 		for j := 0; j < reqs; j++ {
@@ -763,15 +766,12 @@ func (p *Quiescent) Restore(data []byte) error {
 		// Everything is dirty after a restore: the first Tick must run a
 		// full purge + retirement pass against whatever views the new
 		// incarnation's detector reports.
-		st.dirty = true
-		acks[id] = st
-		ackOrder = append(ackOrder, id)
+		st.touch()
 	}
 	sendCnt := r.count(20 + 8*3 + 4)
 	if r.err != nil {
 		return r.err
 	}
-	ackSend := make(map[wire.MsgID]*ackSendState, sendCnt)
 	for i := 0; i < sendCnt; i++ {
 		id := r.msgID()
 		st := &ackSendState{epoch: r.u64(), reAckTick: r.u64(), snapTick: r.u64()}
@@ -779,7 +779,7 @@ func (p *Quiescent) Restore(data []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		ackSend[id] = st
+		p.record(id).ledger = st
 	}
 	digest := r.u64()
 	if err := r.done(); err != nil {
@@ -788,11 +788,7 @@ func (p *Quiescent) Restore(data []byte) error {
 	p.retired = int(retired)
 	p.ticks = ticks
 	p.epochFloor = epochFloor
-	p.sets = sets
-	p.acks = acks
-	p.ackOrder = ackOrder
-	p.ackSend = ackSend
-	p.lastViewKey = ""
+	p.viewsValid = false
 	if snapDigest(data[:len(data)-8], p.Fingerprint()) != digest {
 		return ErrSnapshotCorrupt
 	}
@@ -806,13 +802,16 @@ func (p *Quiescent) Restore(data []byte) error {
 // (or gap-detect and resync) regardless of where the lost window ended.
 func (p *Quiescent) Rejoin() {
 	inc := p.epochFloor >> 32
-	for _, st := range p.ackSend {
-		if e := st.epoch >> 32; e > inc {
+	for _, r := range p.recs {
+		if r.ledger == nil {
+			continue
+		}
+		if e := r.ledger.epoch >> 32; e > inc {
 			inc = e
 		}
+		r.ledger = nil
 	}
 	p.epochFloor = (inc + 1) << 32
-	p.ackSend = make(map[wire.MsgID]*ackSendState)
 }
 
 // ApplyWAL implements Durable.
@@ -826,12 +825,12 @@ func (p *Quiescent) ApplyWAL(rec DurableEvent) error {
 	if err == nil && rec.Kind == WALDeliver {
 		// The replayed delivery makes the message retirement-eligible
 		// (and compactable) exactly as a live delivery would.
-		if st, ok := p.acks[rec.ID]; ok {
-			st.dirty = true
+		if st := p.recs[rec.ID].st; st != nil {
+			st.touch()
 			p.compactState(st)
 		}
 	}
-	p.lastViewKey = ""
+	p.viewsValid = false
 	return err
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"anonurb/internal/ident"
-	"anonurb/internal/wire"
 )
 
 // Fingerprinter is implemented by process types that can produce a
@@ -30,10 +29,10 @@ type fpWriter struct {
 
 func (w *fpWriter) section(name string) { fmt.Fprintf(&w.b, "|%s:", name) }
 
-func (w *fpWriter) sortedIDs(ids []wire.MsgID) {
-	keys := make([]string, len(ids))
-	for i, id := range ids {
-		keys[i] = id.Tag.String() + "~" + id.Body
+func (w *fpWriter) sortedIDs(recs []*msgRec) {
+	keys := make([]string, len(recs))
+	for i, r := range recs {
+		keys[i] = r.id.Tag.String() + "~" + r.id.Body
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
@@ -53,26 +52,18 @@ func (c *common) commonFingerprint(w *fpWriter) {
 	w.section("draws")
 	fmt.Fprintf(&w.b, "%d", c.tags.Draws())
 	w.section("msgs")
-	w.sortedIDs(c.msgs.snapshotIDs())
+	w.sortedIDs(c.msgs)
 	w.section("mine")
-	keys := make([]string, 0, len(c.mine))
-	for id, ack := range c.mine {
-		keys = append(keys, id.Tag.String()+"~"+id.Body+"="+ack.String())
+	keys := make([]string, 0, c.pinned)
+	for _, r := range c.sortedWith(recPinned) {
+		keys = append(keys, r.id.Tag.String()+"~"+r.id.Body+"="+r.mine.String())
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
 	w.section("delivered")
-	ids := make([]wire.MsgID, 0, len(c.delivered))
-	for id := range c.delivered {
-		ids = append(ids, id)
-	}
-	w.sortedIDs(ids)
+	w.sortedIDs(c.sortedWith(recDelivered))
 	w.section("saw")
-	ids = ids[:0]
-	for id := range c.sawMsg {
-		ids = append(ids, id)
-	}
-	w.sortedIDs(ids)
+	w.sortedIDs(c.sortedWith(recSeen))
 }
 
 // Fingerprint implements Fingerprinter.
@@ -83,11 +74,11 @@ func (p *Majority) Fingerprint() string {
 	fmt.Fprintf(&w.b, "%d/%d", p.n, p.threshold)
 	p.commonFingerprint(&w)
 	w.section("acks")
-	keys := make([]string, 0, len(p.acks))
-	for id, set := range p.acks {
+	keys := make([]string, 0, len(p.acked))
+	for _, r := range p.acked {
 		var inner fpWriter
-		inner.sortedTags(set.Slice())
-		keys = append(keys, id.Tag.String()+"~"+id.Body+"={"+inner.b.String()+"}")
+		inner.sortedTags(r.tally.Slice())
+		keys = append(keys, r.id.Tag.String()+"~"+r.id.Body+"={"+inner.b.String()+"}")
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
@@ -102,8 +93,9 @@ func (p *Quiescent) Fingerprint() string {
 	w.section("retired")
 	fmt.Fprintf(&w.b, "%d", p.retired)
 	w.section("acks")
-	keys := make([]string, 0, len(p.acks))
-	for id, st := range p.acks {
+	keys := make([]string, 0, len(p.acked))
+	for _, r := range p.acked {
+		st := r.st
 		ackers := make([]string, 0, len(st.ackerOrder))
 		for _, acker := range st.ackerOrder {
 			v := st.byAcker[acker]
@@ -112,7 +104,7 @@ func (p *Quiescent) Fingerprint() string {
 			ackers = append(ackers, fmt.Sprintf("%s@%d/%t->{%s}", acker, v.epoch, v.synced, inner.b.String()))
 		}
 		sort.Strings(ackers)
-		keys = append(keys, id.Tag.String()+"~"+id.Body+"=["+strings.Join(ackers, ";")+"]")
+		keys = append(keys, r.id.Tag.String()+"~"+r.id.Body+"=["+strings.Join(ackers, ";")+"]")
 	}
 	sort.Strings(keys)
 	w.b.WriteString(strings.Join(keys, ","))
@@ -124,13 +116,12 @@ func (p *Quiescent) Fingerprint() string {
 	// answering are always on, so even a full-set-mode process can hold
 	// a populated ledger or pending request limiters — and two states
 	// differing only in a still-owed resync must not merge.
-	deltaState := p.cfg.DeltaAcks || len(p.ackSend) > 0 || p.epochFloor > 0
-	if !deltaState {
-		for _, st := range p.acks {
-			if len(st.reqTick) > 0 {
-				deltaState = true
-				break
-			}
+	ledger := p.sortedRecs(func(r *msgRec) bool { return r.ledger != nil })
+	deltaState := p.cfg.DeltaAcks || len(ledger) > 0 || p.epochFloor > 0
+	for _, r := range p.acked {
+		if len(r.st.reqTick) > 0 {
+			deltaState = true
+			break
 		}
 	}
 	if deltaState {
@@ -140,19 +131,20 @@ func (p *Quiescent) Fingerprint() string {
 		fmt.Fprintf(&w.b, "%d", p.epochFloor)
 		w.section("ledger")
 		keys = keys[:0]
-		for id, st := range p.ackSend {
+		for _, r := range ledger {
+			st := r.ledger
 			var inner fpWriter
 			inner.sortedTags(st.sent.Slice())
 			keys = append(keys, fmt.Sprintf("%s~%s@%d/%d/%d={%s}",
-				id.Tag, id.Body, st.epoch, st.reAckTick, st.snapTick, inner.b.String()))
+				r.id.Tag, r.id.Body, st.epoch, st.reAckTick, st.snapTick, inner.b.String()))
 		}
 		sort.Strings(keys)
 		w.b.WriteString(strings.Join(keys, ","))
 		w.section("reqs")
 		keys = keys[:0]
-		for id, st := range p.acks {
-			for acker, tick := range st.reqTick {
-				keys = append(keys, fmt.Sprintf("%s~%s/%s=%d", id.Tag, id.Body, acker, tick))
+		for _, r := range p.acked {
+			for acker, tick := range r.st.reqTick {
+				keys = append(keys, fmt.Sprintf("%s~%s/%s=%d", r.id.Tag, r.id.Body, acker, tick))
 			}
 		}
 		sort.Strings(keys)

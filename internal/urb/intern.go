@@ -19,7 +19,7 @@ import (
 // read the exact same label values either way.
 
 // appendTagBytes appends a tag's canonical 16 big-endian bytes — the
-// one serialization shared by every in-process key (setKey, viewKey,
+// one serialization shared by every in-process key (setKey,
 // beatSetKey).
 func appendTagBytes(b []byte, t ident.Tag) []byte {
 	return append(b,

@@ -47,13 +47,13 @@ var (
 // everything still circulating under its own fresh tags, and receivers
 // count it as the new process it is.
 func (p *Majority) Adopt() {
-	p.mine = make(myAcks)
+	p.dropPins()
 }
 
 // Adopt implements Joiner: keep the donor's delivered set and received
 // ACK evidence, drop its acker identity, rebase the delta-ACK streams.
 func (p *Quiescent) Adopt() {
-	p.mine = make(myAcks)
+	p.dropPins()
 	// Rejoin drops the donor's send ledger and lifts the epoch floor
 	// above anything the donor's incarnation has sent — the joiner's
 	// first ACK per message opens a fresh stream under a fresh tag_ack.
@@ -61,7 +61,7 @@ func (p *Quiescent) Adopt() {
 	// Everything must be re-evaluated against the joiner's own detector
 	// on the first Tick (Restore already forces this; Adopt keeps the
 	// guarantee independent of Restore's internals).
-	p.lastViewKey = ""
+	p.viewsValid = false
 }
 
 // Adopt implements Joiner. The detector label is where join and recover

@@ -24,15 +24,14 @@ import (
 //
 // The algorithm is non-quiescent: MSG_i never shrinks and Task 1 never
 // stops. Experiment F1 measures exactly that.
+//
+// The paper's ALL_ACK_i — for every message, the set of distinct
+// tag_acks received — is each record's tally; common.acked remembers
+// first-ACK order so iteration is deterministic.
 type Majority struct {
 	common
 	n         int
 	threshold int
-	// acks is the paper's ALL_ACK_i: for every message, the set of
-	// distinct tag_acks received. ackOrder remembers first-seen order so
-	// iteration is deterministic.
-	acks     map[wire.MsgID]*ident.Set
-	ackOrder []wire.MsgID
 }
 
 var _ Process = (*Majority)(nil)
@@ -64,27 +63,7 @@ func NewMajorityThreshold(n, threshold int, tags *ident.Source, cfg Config) *Maj
 		common:    newCommon(cfg, tags),
 		n:         n,
 		threshold: threshold,
-		acks:      make(map[wire.MsgID]*ident.Set),
 	}
-}
-
-// Broadcast implements URB_broadcast(m) (lines 4-6): draw a fresh tag,
-// insert (m, tag) into MSG_i. Transmission happens in Task 1 (or
-// immediately under the EagerFirstSend ablation).
-func (p *Majority) Broadcast(body []byte) (wire.MsgID, Step) {
-	var out Step
-	id := wire.NewMsgID(p.tags.Next(), body)
-	p.msgs.add(id)
-	p.sawMsg[id] = true
-	if p.tr != nil {
-		p.tr.Broadcast(id)
-	}
-	out.Durable = append(out.Durable,
-		DurableEvent{Kind: WALBroadcast, ID: id, Draws: p.tags.Draws()})
-	if p.cfg.EagerFirstSend {
-		p.send(&out, wire.NewMsg(id))
-	}
-	return id, out
 }
 
 // Receive dispatches on the message kind (lines 7-27).
@@ -107,34 +86,15 @@ func (p *Majority) Receive(m wire.Message) Step {
 // receiveMsg handles (MSG, m, tag) (lines 7-17).
 func (p *Majority) receiveMsg(m wire.Message) Step {
 	var out Step
-	id := m.ID()
-	// RECV traces the first MSG copy only: retransmissions are the fair
-	// lossy channel's business, not the message lifecycle's.
-	if p.tr != nil && !p.sawMsg[id] {
-		p.tr.Recv(id, wire.KindMsg)
-	}
-	p.sawMsg[id] = true
-	if p.msgs.add(id) && p.cfg.EagerFirstSend {
+	r := p.seeMsg(&out, m)
+	if p.addMsg(r) && p.cfg.EagerFirstSend {
 		// First time we learn of m from the network: start retransmitting
 		// (Task 1 covers it; eager mode also forwards at once).
-		p.send(&out, wire.NewMsg(id))
-	}
-	ack, known := p.mine[id]
-	if !known {
-		// First reception: draw the unique tag_ack for (m, tag) and pin
-		// it (lines 14-15). It must never change afterwards; uniform
-		// integrity counts distinct ackers by distinct tag_acks — which
-		// is also why the pin is a durable event: a recovered process
-		// acking under a fresh tag_ack would count as a phantom second
-		// acker.
-		ack = p.tags.Next()
-		p.mine[id] = ack
-		out.Durable = append(out.Durable,
-			DurableEvent{Kind: WALPin, ID: id, Ack: ack, Draws: p.tags.Draws()})
+		p.send(&out, wire.NewMsg(r.id))
 	}
 	// Acknowledge every reception (lines 11-12 / 16): retransmissions of
 	// the ACK are what overcome ACK loss on fair lossy channels.
-	p.send(&out, wire.NewAck(id, ack))
+	p.send(&out, wire.NewAck(r.id, r.mine))
 	return out
 }
 
@@ -142,12 +102,12 @@ func (p *Majority) receiveMsg(m wire.Message) Step {
 func (p *Majority) receiveAck(m wire.Message) Step {
 	var out Step
 	id := m.ID()
-	set, ok := p.acks[id]
-	if !ok {
-		set = ident.NewSet()
-		p.acks[id] = set
-		p.ackOrder = append(p.ackOrder, id)
+	r := p.record(id)
+	if r.tally == nil {
+		r.tally = ident.NewSet()
+		p.noteAcked(r)
 	}
+	set := r.tally
 	before := set.Len()
 	set.Add(m.AckTag) // idempotent (lines 19-21)
 	// ACK receptions are traced solely through their ACK_PROGRESS
@@ -159,20 +119,16 @@ func (p *Majority) receiveAck(m wire.Message) Step {
 	if p.tr != nil && set.Len() != before {
 		p.tr.AckProgress(id, ident.Tag{}, set.Len(), p.threshold)
 	}
-	p.checkDeliver(&out, id)
+	p.checkDeliver(&out, r)
 	return out
 }
 
 // checkDeliver applies the guard of lines 22-26: a majority of distinct
 // tag_acks — strictly more than n/2 (or the configured threshold for the
 // impossibility reenactment).
-func (p *Majority) checkDeliver(out *Step, id wire.MsgID) {
-	set, ok := p.acks[id]
-	if !ok {
-		return
-	}
-	if set.Len() >= p.threshold {
-		p.deliverOnce(out, id)
+func (p *Majority) checkDeliver(out *Step, r *msgRec) {
+	if r.tally != nil && r.tally.Len() >= p.threshold {
+		p.deliverOnce(out, r)
 	}
 }
 
@@ -181,12 +137,12 @@ func (p *Majority) checkDeliver(out *Step, id wire.MsgID) {
 // quiescent.
 func (p *Majority) Tick() Step {
 	var out Step
-	for _, id := range p.msgs.snapshotIDs() {
-		p.send(&out, wire.NewMsg(id))
+	for _, r := range p.msgs {
+		p.send(&out, wire.NewMsgShared(r.id.Tag, r.body))
 	}
 	if p.cfg.CheckOnTick {
-		for _, id := range p.ackOrder {
-			p.checkDeliver(&out, id)
+		for _, r := range p.acked {
+			p.checkDeliver(&out, r)
 		}
 	}
 	return out
@@ -195,14 +151,14 @@ func (p *Majority) Tick() Step {
 // Stats implements Process.
 func (p *Majority) Stats() Stats {
 	entries := 0
-	for _, s := range p.acks {
-		entries += s.Len()
+	for _, r := range p.acked {
+		entries += r.tally.Len()
 	}
 	return Stats{
-		MsgSet:     p.msgs.len(),
-		MyAcks:     len(p.mine),
+		MsgSet:     len(p.msgs),
+		MyAcks:     p.pinned,
 		AckEntries: entries,
-		Delivered:  len(p.delivered),
+		Delivered:  p.delivered,
 		WireSent:   p.wireSent,
 	}
 }
@@ -210,17 +166,11 @@ func (p *Majority) Stats() Stats {
 // AckCount reports how many distinct tag_acks have been seen for id
 // (test hook).
 func (p *Majority) AckCount(id wire.MsgID) int {
-	if s, ok := p.acks[id]; ok {
-		return s.Len()
+	if r := p.recs[id]; r != nil && r.tally != nil {
+		return r.tally.Len()
 	}
 	return 0
 }
-
-// HasDelivered reports whether id has been URB-delivered locally.
-func (p *Majority) HasDelivered(id wire.MsgID) bool { return p.delivered[id] }
-
-// KnowsMsg reports whether id is in MSG_i (test hook).
-func (p *Majority) KnowsMsg(id wire.MsgID) bool { return p.msgs.has(id) }
 
 // Explain is the stall explainer (DESIGN.md §14): it reads the live
 // delivery evidence for id and reports exactly what the majority guard
@@ -229,12 +179,13 @@ func (p *Majority) Explain(id wire.MsgID) obs.Explanation {
 	ex := obs.Explanation{
 		ID:        id,
 		Algo:      "majority",
-		Delivered: p.delivered[id],
+		Delivered: p.has(id, recDelivered),
 		Need:      p.threshold,
 	}
-	if s, ok := p.acks[id]; ok {
-		ex.Ackers = s.Len()
+	r := p.recs[id]
+	if r != nil && r.tally != nil {
+		ex.Ackers = r.tally.Len()
 	}
-	ex.Known = ex.Ackers > 0 || p.msgs.has(id) || p.sawMsg[id]
+	ex.Known = ex.Ackers > 0 || r != nil && r.is(recInMSG|recSeen)
 	return ex
 }

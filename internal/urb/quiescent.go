@@ -1,6 +1,8 @@
 package urb
 
 import (
+	"slices"
+
 	"anonurb/internal/fd"
 	"anonurb/internal/ident"
 	"anonurb/internal/obs"
@@ -48,21 +50,17 @@ import (
 //
 // Deviations D1-D5 from the garbled published listing are documented in
 // DESIGN.md §2/§8 and at the relevant code below.
+//
+// The per-message ACK bookkeeping (ackState) and the delta-ACK sender
+// ledger (ackSendState, populated in delta mode: the label set and epoch
+// of this process's last labeled ACK) hang off the message's record.
 type Quiescent struct {
 	common
-	det fd.Detector
-	// per-message ACK bookkeeping, insertion-ordered for determinism.
-	acks     map[wire.MsgID]*ackState
-	ackOrder []wire.MsgID
-	retired  int
+	det     fd.Detector
+	retired int
 	// ticks counts Task-1 passes; the delta-ACK path's per-tick rate
 	// limiters compare against it.
 	ticks uint64
-	// ackSend is the delta-ACK sender ledger: for every message this
-	// process has acknowledged, the label set and epoch of its last
-	// labeled ACK (nil entries never exist; the map is only populated in
-	// DeltaAcks mode).
-	ackSend map[wire.MsgID]*ackSendState
 	// epochFloor is the delta-stream incarnation base (DESIGN.md §9):
 	// every ledger entry opened after a crash-recovery Rejoin starts at
 	// epochFloor+1, which dominates every epoch the process's previous
@@ -77,18 +75,28 @@ type Quiescent struct {
 	// resync is the D9 per-tick ACKREQ budget (Config.PaceResyncs);
 	// pacing state, excluded from snapshots and fingerprints.
 	resync resyncBudget
-	// lastViewKey caches the canonical key of the detector views Tick
-	// last evaluated every message against; together with the per-state
-	// dirty flags it forms the retirement index: a Tick under unchanged
-	// views re-purges and re-evaluates only messages whose ACK state
-	// changed since the last pass — for every other message both
-	// operations are provably no-ops. "" (the initial and post-restore
-	// value) forces a full pass. Deliberately excluded from snapshots
-	// and fingerprints: like the rate limiters it is derived pacing
-	// state, and the exclusion is sound because skipped work is always a
-	// no-op (fingerprint-equal states behave identically whether they
-	// skip or re-evaluate).
-	lastViewKey string
+
+	// The retirement index (DESIGN.md §10). Tick runs the D4 purge and
+	// the retirement guard over every message only when the detector
+	// views differ from lastTheta/lastStar, the views of the last full
+	// pass; otherwise only over dirty, the records whose ACK state
+	// changed since the last pass (ackState.touch queues them) — for
+	// every other message both operations are provably no-ops. live and
+	// starSet are the label sets of lastTheta ∪ lastStar and lastStar.
+	// viewsValid false (the initial and post-restore value) forces a full
+	// pass. Deliberately excluded from snapshots and fingerprints: like
+	// the rate limiters it is derived pacing state, and the exclusion is
+	// sound because skipped work is always a no-op (fingerprint-equal
+	// states behave identically whether they skip or re-evaluate).
+	dirty               []*msgRec
+	lastTheta, lastStar fd.View
+	live, starSet       *ident.Set
+	viewsValid          bool
+	// thetaView/thetaSet cache the label set of the AΘ view every ACK
+	// carries, rebuilt only when the view changes. The set is shared by
+	// ledger entries and outgoing frames, so it is never mutated.
+	thetaView fd.View
+	thetaSet  *ident.Set
 }
 
 // ackSendState is one message's entry in the acker-side delta ledger.
@@ -150,8 +158,8 @@ type ackState struct {
 	// its entry within the tick too.
 	reqTick map[ident.Tag]uint64
 	// dirty marks that the claim counters or acker membership changed
-	// since Tick last evaluated this message (it is set by every
-	// bump/drop, acker addition and label-set mutation, and by the
+	// since Tick last evaluated this message (touch sets it on every
+	// bump/drop, acker addition and label-set mutation, and on the
 	// message's own delivery). Tick clears it after the purge +
 	// retirement pass; while it stays clear under unchanged detector
 	// views, both operations are no-ops and are skipped.
@@ -159,19 +167,34 @@ type ackState struct {
 	// compacted marks that this message's views run on interned shared
 	// sets (delivered under Config.CompactDelivered).
 	compacted bool
+	// rec is the message's record and queue the owning process's dirty
+	// queue, which touch appends rec to.
+	rec   *msgRec
+	queue *[]*msgRec
 }
 
-func newAckState() *ackState {
+func newAckState(rec *msgRec, queue *[]*msgRec) *ackState {
 	return &ackState{
 		byAcker: make(map[ident.Tag]*ackerView),
 		claims:  make(map[ident.Tag]int),
+		rec:     rec,
+		queue:   queue,
+	}
+}
+
+// touch marks the state dirty, queueing its record for the next Task-1
+// pass on the clean→dirty transition.
+func (a *ackState) touch() {
+	if !a.dirty {
+		a.dirty = true
+		*a.queue = append(*a.queue, a.rec)
 	}
 }
 
 // bump increments a label's claim count.
 func (a *ackState) bump(label ident.Tag) {
 	a.claims[label]++
-	a.dirty = true
+	a.touch()
 }
 
 // drop decrements a label's claim count, deleting the entry at zero —
@@ -179,7 +202,7 @@ func (a *ackState) bump(label ident.Tag) {
 // map key per dead label forever (the same monotonic growth the D4
 // acker drop exists to stop).
 func (a *ackState) drop(label ident.Tag) {
-	a.dirty = true
+	a.touch()
 	switch c := a.claims[label]; {
 	case c > 1:
 		a.claims[label] = c - 1
@@ -239,7 +262,7 @@ func (a *ackState) replace(in *setIntern, acker ident.Tag, labels []ident.Tag, e
 		v := &ackerView{labels: s, epoch: epoch, synced: synced}
 		a.byAcker[acker] = v
 		a.ackerOrder = append(a.ackerOrder, acker)
-		a.dirty = true // membership changed even if the set is empty
+		a.touch() // membership changed even if the set is empty
 		a.internView(in, v)
 		return true
 	}
@@ -326,10 +349,11 @@ func (a *ackState) applyDelta(in *setIntern, v *ackerView, epoch uint64, adds, d
 	a.internView(in, v)
 }
 
-// purge removes every claimed label for which keep returns false
-// (deviation D4: stale labels of crashed processes frozen inside ACKs
-// from ackers that will never refresh — e.g. the crashed process's own
-// ACK — would otherwise block the retirement guard forever). Safe
+// purge removes every claimed label absent from live, the label set of
+// the current views (deviation D4: stale labels of crashed processes
+// frozen inside ACKs from ackers that will never refresh — e.g. the
+// crashed process's own ACK — would otherwise block the retirement guard
+// forever). Safe
 // because AP* perpetually contains every correct process's label, so a
 // label absent from both current views can only belong to a crashed
 // process.
@@ -360,7 +384,7 @@ type purgedEntry struct {
 	to      *setEntry
 }
 
-func (a *ackState) purge(in *setIntern, keep func(ident.Tag) bool) {
+func (a *ackState) purge(in *setIntern, live *ident.Set) {
 	// Last tick's resync-request limiters are spent; dropping the map
 	// wholesale is what keeps it from accumulating entries for ackers
 	// that never got admitted (e.g. crashed before their snapshot).
@@ -374,14 +398,14 @@ func (a *ackState) purge(in *setIntern, keep func(ident.Tag) bool) {
 			pe, ok := memo[v.entry]
 			if !ok {
 				for _, l := range v.entry.labels.Slice() {
-					if !keep(l) {
+					if !live.Has(l) {
 						pe.removed = append(pe.removed, l)
 					}
 				}
 				if n := len(pe.removed); n > 0 && n < v.entry.labels.Len() {
 					next := ident.NewSet()
 					for _, l := range v.entry.labels.Slice() {
-						if keep(l) {
+						if live.Has(l) {
 							next.Add(l)
 						}
 					}
@@ -426,7 +450,7 @@ func (a *ackState) purge(in *setIntern, keep func(ident.Tag) bool) {
 		// Exclusive set: scan before touching (steady state is no-op).
 		stale := false
 		for _, l := range v.labels.Slice() {
-			if !keep(l) {
+			if !live.Has(l) {
 				stale = true
 				break
 			}
@@ -440,7 +464,7 @@ func (a *ackState) purge(in *setIntern, keep func(ident.Tag) bool) {
 			continue
 		}
 		for _, l := range append([]ident.Tag(nil), v.labels.Slice()...) {
-			if !keep(l) {
+			if !live.Has(l) {
 				v.labels.Remove(l)
 				a.drop(l)
 				v.synced = false
@@ -470,28 +494,9 @@ var _ Process = (*Quiescent)(nil)
 // failure detector handle (AΘ and AP* views).
 func NewQuiescent(det fd.Detector, tags *ident.Source, cfg Config) *Quiescent {
 	return &Quiescent{
-		common:  newCommon(cfg, tags),
-		det:     det,
-		acks:    make(map[wire.MsgID]*ackState),
-		ackSend: make(map[wire.MsgID]*ackSendState),
+		common: newCommon(cfg, tags),
+		det:    det,
 	}
-}
-
-// Broadcast implements URB_broadcast(m) (lines 4-6).
-func (p *Quiescent) Broadcast(body []byte) (wire.MsgID, Step) {
-	var out Step
-	id := wire.NewMsgID(p.tags.Next(), body)
-	p.msgs.add(id)
-	p.sawMsg[id] = true
-	if p.tr != nil {
-		p.tr.Broadcast(id)
-	}
-	out.Durable = append(out.Durable,
-		DurableEvent{Kind: WALBroadcast, ID: id, Draws: p.tags.Draws()})
-	if p.cfg.EagerFirstSend {
-		p.send(&out, wire.NewMsg(id))
-	}
-	return id, out
 }
 
 // Receive dispatches on kind (lines 7-51).
@@ -516,57 +521,51 @@ func (p *Quiescent) Receive(m wire.Message) Step {
 // receiveMsg handles (MSG, m, tag) (lines 7-21).
 func (p *Quiescent) receiveMsg(m wire.Message) Step {
 	var out Step
-	id := m.ID()
-	// RECV traces the first MSG copy only (same policy as Majority):
-	// retransmissions carry no lifecycle information.
-	if p.tr != nil && !p.sawMsg[id] {
-		p.tr.Recv(id, wire.KindMsg)
-	}
-	p.sawMsg[id] = true
+	r := p.seeMsg(&out, m) // line 17: the tag_ack is pinned forever after
 	// Lines 8-12: (re-)insert into MSG_i only if not yet delivered; this
 	// is what keeps a retired message retired when late MSG copies
 	// straggle in.
-	if !p.msgs.has(id) && !p.delivered[id] {
-		p.msgs.add(id)
-		if p.cfg.EagerFirstSend {
-			p.send(&out, wire.NewMsg(id))
-		}
-	}
-	ack, known := p.mine[id]
-	if !known {
-		ack = p.tags.Next() // line 17: pinned forever after
-		p.mine[id] = ack
-		// Durable: the pin must survive a crash so the recovered process
-		// re-acks under the same anonymous identity (DESIGN.md §9).
-		out.Durable = append(out.Durable,
-			DurableEvent{Kind: WALPin, ID: id, Ack: ack, Draws: p.tags.Draws()})
+	if !r.is(recInMSG|recDelivered) && p.addMsg(r) && p.cfg.EagerFirstSend {
+		p.send(&out, wire.NewMsg(r.id))
 	}
 	// Lines 13-20: every (re-)ACK carries the *current* AΘ label view, so
 	// receivers can refresh their per-acker label sets. In delta mode the
 	// view travels incrementally instead (D5).
-	labels := p.det.ATheta().Labels()
+	labels := p.thetaLabels()
 	if !p.cfg.DeltaAcks {
-		p.send(&out, wire.NewLabeledAck(id, ack, labels.Slice()))
+		p.send(&out, wire.NewLabeledAck(r.id, r.mine, labels.Slice()))
 		return out
 	}
-	p.sendDeltaAck(&out, id, ack, labels)
+	p.sendDeltaAck(&out, r, labels)
 	return out
+}
+
+// thetaLabels returns the label set of the current AΘ view. The set is
+// cached until the view changes and shared by every caller, so it must
+// never be mutated.
+func (p *Quiescent) thetaLabels() *ident.Set {
+	theta := p.det.ATheta()
+	if p.thetaSet == nil || !theta.Equal(p.thetaView) {
+		p.thetaView = append(p.thetaView[:0], theta...)
+		p.thetaSet = theta.Labels()
+	}
+	return p.thetaSet
 }
 
 // sendDeltaAck emits the D5 incremental form of the line 13-20 ACK:
 // a snapshot the first time, a (+adds, −dels) delta when the AΘ label
-// view changed since the last ACK for id, and an empty re-ACK — at most
-// one per tick — when it did not. The caller passes ownership of labels
-// (a fresh set from View.Labels).
-func (p *Quiescent) sendDeltaAck(out *Step, id wire.MsgID, ack ident.Tag, labels *ident.Set) {
-	st, known := p.ackSend[id]
-	if !known {
+// view changed since the last ACK for r, and an empty re-ACK — at most
+// one per tick — when it did not. labels is the shared, immutable set
+// from thetaLabels.
+func (p *Quiescent) sendDeltaAck(out *Step, r *msgRec, labels *ident.Set) {
+	st := r.ledger
+	if st == nil {
 		st = &ackSendState{epoch: p.epochFloor + 1, sent: labels, snapTick: p.ticks + 1, reAckTick: p.ticks + 1}
-		p.ackSend[id] = st
-		p.send(out, wire.NewAckSnapshot(id, ack, st.epoch, labels.Slice()))
+		r.ledger = st
+		p.send(out, wire.NewAckSnapshot(r.id, r.mine, st.epoch, labels.Slice()))
 		return
 	}
-	if !labels.Equal(st.sent) {
+	if labels != st.sent && !labels.Equal(st.sent) {
 		var adds, dels []ident.Tag
 		for _, l := range labels.Slice() {
 			if !st.sent.Has(l) {
@@ -581,7 +580,7 @@ func (p *Quiescent) sendDeltaAck(out *Step, id wire.MsgID, ack ident.Tag, labels
 		st.epoch++
 		st.sent = labels
 		st.reAckTick = p.ticks + 1
-		p.send(out, wire.NewAckDelta(id, ack, st.epoch, adds, dels))
+		p.send(out, wire.NewAckDelta(r.id, r.mine, st.epoch, adds, dels))
 		return
 	}
 	// Unchanged set: re-ACK at most once per tick (D5 rate limit). The
@@ -593,7 +592,7 @@ func (p *Quiescent) sendDeltaAck(out *Step, id wire.MsgID, ack ident.Tag, labels
 		return
 	}
 	st.reAckTick = p.ticks + 1
-	p.send(out, wire.NewAckDelta(id, ack, st.epoch, nil, nil))
+	p.send(out, wire.NewAckDelta(r.id, r.mine, st.epoch, nil, nil))
 }
 
 // receiveAck handles the full-set form (ACK, m, tag, tag_ack, labels)
@@ -606,9 +605,10 @@ func (p *Quiescent) receiveAck(m wire.Message) Step {
 	if p.tr != nil {
 		p.tr.Recv(id, wire.KindAck)
 	}
-	st := p.ackStateFor(id)
+	r := p.record(id)
+	st := p.ackStateFor(r)
 	st.replace(&p.sets, m.AckTag, m.Labels, 0, false) // lines 27-45 (D1)
-	p.checkDeliver(&out, id)                          // lines 46-51
+	p.checkDeliver(&out, r)                           // lines 46-51
 	return out
 }
 
@@ -623,20 +623,19 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 	if p.tr != nil {
 		p.tr.Recv(id, wire.KindAckDelta)
 	}
+	r := p.record(id)
 	// Delivered-message fast path: the steady state of a quiescent
 	// cluster is delivered messages absorbing unchanged re-ACKs (empty
 	// deltas at the acker's current epoch) once per tick until
 	// retirement. For those nothing below can change — the delta is
 	// stale-or-duplicate for the view and the delivery guard is already
 	// satisfied — so return before touching the claim machinery.
-	if p.delivered[id] && m.Flags == 0 && len(m.Labels) == 0 && len(m.DelLabels) == 0 {
-		if st, ok := p.acks[id]; ok {
-			if v := st.byAcker[m.AckTag]; v != nil && v.synced && m.Epoch <= v.epoch {
-				return out
-			}
+	if r.is(recDelivered) && r.st != nil && m.Flags == 0 && len(m.Labels) == 0 && len(m.DelLabels) == 0 {
+		if v := r.st.byAcker[m.AckTag]; v != nil && v.synced && m.Epoch <= v.epoch {
+			return out
 		}
 	}
-	st := p.ackStateFor(id)
+	st := p.ackStateFor(r)
 	v := st.byAcker[m.AckTag]
 	if m.Flags&wire.AckFlagSnapshot != 0 {
 		// A snapshot is authoritative for its epoch: apply unless we
@@ -680,7 +679,7 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 	// or empty re-ACK can still enable a delivery the view's numbers
 	// dropping has unblocked — exactly as the full-set path re-checks on
 	// every re-ACK.
-	p.checkDeliver(&out, id)
+	p.checkDeliver(&out, r)
 	return out
 }
 
@@ -691,64 +690,56 @@ func (p *Quiescent) receiveAckDelta(m wire.Message) Step {
 // all requesters.
 func (p *Quiescent) receiveAckResync(m wire.Message) Step {
 	var out Step
-	id := m.ID()
-	ack, known := p.mine[id]
-	if !known || ack != m.AckTag {
+	r := p.recs[m.ID()]
+	if r == nil || !r.is(recPinned) || r.mine != m.AckTag {
 		return out // someone else's stream (or a message we never ACKed)
 	}
-	st, known := p.ackSend[id]
-	if known && st.snapTick == p.ticks+1 {
+	st := r.ledger
+	if st != nil && st.snapTick == p.ticks+1 {
 		return out
 	}
-	if !known {
-		// Our ACK for id predates delta mode (or was sent by the full-set
-		// path): open the ledger now with a fresh snapshot.
-		st = &ackSendState{epoch: p.epochFloor + 1, sent: p.det.ATheta().Labels()}
-		p.ackSend[id] = st
-	} else if labels := p.det.ATheta().Labels(); !labels.Equal(st.sent) {
+	if st == nil {
+		// Our ACK for the message predates delta mode (or was sent by the
+		// full-set path): open the ledger now with a fresh snapshot.
+		st = &ackSendState{epoch: p.epochFloor + 1, sent: p.thetaLabels()}
+		r.ledger = st
+	} else if labels := p.thetaLabels(); labels != st.sent && !labels.Equal(st.sent) {
 		st.epoch++
 		st.sent = labels
 	}
 	st.snapTick = p.ticks + 1
 	st.reAckTick = p.ticks + 1 // the snapshot doubles as this tick's re-ACK
-	p.send(&out, wire.NewAckSnapshot(id, ack, st.epoch, st.sent.Slice()))
+	p.send(&out, wire.NewAckSnapshot(r.id, r.mine, st.epoch, st.sent.Slice()))
 	return out
 }
 
 // ackStateFor returns (creating on demand) the per-message ACK
 // bookkeeping (lines 23-26).
-func (p *Quiescent) ackStateFor(id wire.MsgID) *ackState {
-	st, ok := p.acks[id]
-	if !ok {
-		st = newAckState()
+func (p *Quiescent) ackStateFor(r *msgRec) *ackState {
+	if r.st == nil {
+		r.st = newAckState(r, &p.dirty)
 		// Straggler ACKs for an already-delivered (possibly retired)
 		// message open their state directly in compacted form.
-		if p.cfg.CompactDelivered && p.delivered[id] {
-			st.compacted = true
-		}
-		p.acks[id] = st
-		p.ackOrder = append(p.ackOrder, id)
+		r.st.compacted = p.cfg.CompactDelivered && r.is(recDelivered)
+		p.noteAcked(r)
 	}
-	return st
+	return r.st
 }
 
 // checkDeliver applies the delivery guard: ∃ (label, number) ∈ AΘ with
 // claims[label] >= number (deviation D2: >= instead of =; see DESIGN.md).
-func (p *Quiescent) checkDeliver(out *Step, id wire.MsgID) {
-	if p.delivered[id] {
-		return
-	}
-	st, ok := p.acks[id]
-	if !ok {
+func (p *Quiescent) checkDeliver(out *Step, r *msgRec) {
+	st := r.st
+	if st == nil || r.is(recDelivered) {
 		return
 	}
 	theta := p.det.ATheta()
 	for _, pair := range theta {
 		if st.claims[pair.Label] >= pair.Number {
-			p.deliverOnce(out, id)
+			p.deliverOnce(out, r)
 			// Delivery makes the message retirement-eligible: the next
 			// Tick must evaluate it even under unchanged views.
-			st.dirty = true
+			st.touch()
 			p.compactState(st)
 			return
 		}
@@ -765,7 +756,7 @@ func (p *Quiescent) checkDeliver(out *Step, id wire.MsgID) {
 				best, bestHave = pair, have
 			}
 		}
-		p.tr.AckProgress(id, best.Label, bestHave, best.Number)
+		p.tr.AckProgress(r.id, best.Label, bestHave, best.Number)
 	}
 }
 
@@ -801,14 +792,12 @@ func (p *Quiescent) compactState(st *ackState) {
 }
 
 // retireReady evaluates the retirement guard (paper line 55, deviation
-// D3) for one delivered message against the current AP* view.
-func (p *Quiescent) retireReady(id wire.MsgID, star fd.View) bool {
-	if !p.delivered[id] {
+// D3) for one delivered message against the AP* view star, whose label
+// set Tick cached in starSet.
+func (p *Quiescent) retireReady(r *msgRec, star fd.View) bool {
+	st := r.st
+	if !r.is(recDelivered) || st == nil {
 		return false // line 56
-	}
-	st, ok := p.acks[id]
-	if !ok {
-		return false
 	}
 	if len(star) == 0 {
 		return false // no evidence about the correct set: never retire
@@ -821,36 +810,25 @@ func (p *Quiescent) retireReady(id wire.MsgID, star fd.View) bool {
 	}
 	// No acker still claims a label outside the AP* view (the paper's
 	// all_labels = {label | (label,-) ∈ a_p*} clause).
-	starLabels := star.Labels()
 	for _, acker := range st.ackerOrder {
-		if !st.byAcker[acker].labels.SubsetOf(starLabels) {
+		if !st.byAcker[acker].labels.SubsetOf(p.starSet) {
 			return false
 		}
 	}
 	return true
 }
 
-// viewKey renders the detector views' canonical identity: every label
-// and number of both views, each view length-prefixed so the encoding
-// is injective (a separator byte alone would let a label containing it
-// shift the theta/star boundary). Tick caches it to detect view
-// changes between passes (the retirement index).
-func viewKey(theta, star fd.View) string {
-	b := make([]byte, 0, 24*(len(theta)+len(star))+8)
-	render := func(v fd.View) {
-		n := uint32(len(v))
-		b = append(b, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-		for _, pr := range v {
-			b = appendTagBytes(b, pr.Label)
-			m := uint64(pr.Number)
-			b = append(b,
-				byte(m>>56), byte(m>>48), byte(m>>40), byte(m>>32),
-				byte(m>>24), byte(m>>16), byte(m>>8), byte(m))
-		}
+// observeViews records the views a full Task-1 pass runs against and
+// rebuilds the label sets derived from them.
+func (p *Quiescent) observeViews(theta, star fd.View) {
+	p.lastTheta = append(p.lastTheta[:0], theta...)
+	p.lastStar = append(p.lastStar[:0], star...)
+	p.viewsValid = true
+	p.live = theta.Labels()
+	p.starSet = star.Labels()
+	for _, pr := range star {
+		p.live.Add(pr.Label)
 	}
-	render(theta)
-	render(star)
-	return string(b)
 }
 
 // Tick is one pass of Task 1 (lines 52-61): retransmit every message
@@ -864,85 +842,80 @@ func viewKey(theta, star fd.View) string {
 // pass and a message's ACK state has not changed since (dirty unset),
 // re-running them provably reproduces the previous outcome — a no-op
 // purge and a false guard (had it been true, the message would already
-// be retired). Tick therefore skips both for clean messages; MSG
-// retransmission itself is never skipped, it is the protocol.
+// be retired). Under unchanged views Tick therefore touches only MSG_i
+// and the dirty queue, never the whole history; MSG retransmission
+// itself is never skipped, it is the protocol.
+//
+//urb:hotpath
 func (p *Quiescent) Tick() Step {
 	var out Step
 	p.ticks++
 	star := p.det.APStar()
 	theta := p.det.ATheta()
-	key := viewKey(theta, star)
-	full := key != p.lastViewKey
-	p.lastViewKey = key
+	full := !p.viewsValid || !theta.Equal(p.lastTheta) || !star.Equal(p.lastStar)
+	// The records to purge and re-check, in first-ACK order: everything
+	// on a view change, else the dirty queue (which the loops below then
+	// cannot grow: they only touch records already queued).
+	work := p.acked
 	if full {
-		live := theta.Labels()
-		for _, pr := range star {
-			live.Add(pr.Label)
-		}
-		for _, id := range p.ackOrder {
-			p.acks[id].purge(&p.sets, live.Has)
-		}
+		p.observeViews(theta, star)
 	} else {
-		var live *ident.Set // built lazily: dirty messages are rare
-		for _, id := range p.ackOrder {
-			st := p.acks[id]
-			if !st.dirty {
-				continue
-			}
-			if live == nil {
-				live = theta.Labels()
-				for _, pr := range star {
-					live.Add(pr.Label)
-				}
-			}
-			st.purge(&p.sets, live.Has)
-		}
+		slices.SortFunc(p.dirty, byOrd)
+		work = p.dirty
+	}
+	for _, r := range work {
+		r.st.purge(&p.sets, p.live)
 	}
 	if p.cfg.CheckOnTick {
-		for _, id := range p.ackOrder {
-			if st := p.acks[id]; full || st.dirty {
-				p.checkDeliver(&out, id)
-			}
+		for _, r := range work {
+			p.checkDeliver(&out, r)
 		}
 	}
-	for _, id := range p.msgs.snapshotIDs() {
+	if len(p.msgs) > 0 {
+		// Nothing above sends: the pass's broadcasts are its MSG copies.
+		out.Broadcasts = make([]wire.Message, 0, len(p.msgs))
+	}
+	kept := p.msgs[:0]
+	for _, r := range p.msgs {
 		ready := false
-		if p.delivered[id] {
-			st := p.acks[id]
-			if full || (st != nil && st.dirty) {
-				ready = p.retireReady(id, star)
-			}
+		if r.is(recDelivered) && (full || r.st != nil && r.st.dirty) {
+			ready = p.retireReady(r, star)
 		}
 		// The guard's outcome cannot change between the two retirement
 		// sites of one pass (line 54 sends mutate nothing it reads), so
 		// one evaluation serves both.
-		if ready && p.cfg.RetireBeforeSend {
-			p.msgs.remove(id)
-			p.retired++
-			if p.tr != nil {
-				p.tr.Retire(id)
-			}
+		if !ready || !p.cfg.RetireBeforeSend {
+			p.send(&out, wire.NewMsgShared(r.id.Tag, r.body)) // line 54
+		}
+		if !ready {
+			kept = append(kept, r)
 			continue
 		}
-		p.send(&out, wire.NewMsg(id)) // line 54
-		if ready {                    // lines 55-58
-			p.msgs.remove(id)
-			p.retired++
-			if p.tr != nil {
-				p.tr.Retire(id)
-			}
+		r.flags &^= recInMSG // lines 55-58
+		r.body = nil
+		p.retired++
+		if p.tr != nil {
+			p.tr.Retire(r.id)
 		}
 	}
-	for _, id := range p.ackOrder {
-		p.acks[id].dirty = false
+	clear(p.msgs[len(kept):])
+	p.msgs = kept
+	for _, r := range p.dirty {
+		r.st.dirty = false
 	}
+	clear(p.dirty)
+	p.dirty = p.dirty[:0]
 	return out
 }
+
+// byOrd orders records by first-ACK ordinal.
+func byOrd(a, b *msgRec) int { return a.ord - b.ord }
 
 // Stats implements Process.
 func (p *Quiescent) Stats() Stats {
 	entries, logical, exclusive, compacted := 0, 0, 0, 0
-	for _, st := range p.acks {
+	for _, r := range p.acked {
+		st := r.st
 		entries += st.ackers()
 		if st.compacted {
 			compacted++
@@ -955,10 +928,10 @@ func (p *Quiescent) Stats() Stats {
 		}
 	}
 	return Stats{
-		MsgSet:          p.msgs.len(),
-		MyAcks:          len(p.mine),
+		MsgSet:          len(p.msgs),
+		MyAcks:          p.pinned,
 		AckEntries:      entries,
-		Delivered:       len(p.delivered),
+		Delivered:       p.delivered,
 		Retired:         p.retired,
 		WireSent:        p.wireSent,
 		AckLabels:       logical,
@@ -967,9 +940,17 @@ func (p *Quiescent) Stats() Stats {
 	}
 }
 
+// ackState returns id's ACK bookkeeping, nil if none.
+func (p *Quiescent) ackState(id wire.MsgID) *ackState {
+	if r := p.recs[id]; r != nil {
+		return r.st
+	}
+	return nil
+}
+
 // Claims reports the current claim count for (id, label) — test hook.
 func (p *Quiescent) Claims(id wire.MsgID, label ident.Tag) int {
-	if st, ok := p.acks[id]; ok {
+	if st := p.ackState(id); st != nil {
 		return st.claims[label]
 	}
 	return 0
@@ -977,17 +958,11 @@ func (p *Quiescent) Claims(id wire.MsgID, label ident.Tag) int {
 
 // Ackers reports how many distinct tag_acks have been seen for id.
 func (p *Quiescent) Ackers(id wire.MsgID) int {
-	if st, ok := p.acks[id]; ok {
+	if st := p.ackState(id); st != nil {
 		return st.ackers()
 	}
 	return 0
 }
-
-// HasDelivered reports whether id has been URB-delivered locally.
-func (p *Quiescent) HasDelivered(id wire.MsgID) bool { return p.delivered[id] }
-
-// KnowsMsg reports whether id is currently in MSG_i (false once retired).
-func (p *Quiescent) KnowsMsg(id wire.MsgID) bool { return p.msgs.has(id) }
 
 // RetiredCount reports how many messages have been retired.
 func (p *Quiescent) RetiredCount() int { return p.retired }
@@ -999,17 +974,21 @@ func (p *Quiescent) RetiredCount() int { return p.retired }
 // streams — exactly the evidence still missing. Call it on the
 // goroutine hosting the process.
 func (p *Quiescent) Explain(id wire.MsgID) obs.Explanation {
+	r := p.recs[id]
+	if r == nil {
+		r = &msgRec{id: id} // never heard of: no bits, no evidence
+	}
+	st := r.st
 	ex := obs.Explanation{
 		ID:        id,
 		Algo:      "quiescent",
-		Delivered: p.delivered[id],
+		Delivered: r.is(recDelivered),
 	}
-	st := p.acks[id]
-	ex.Known = st != nil || p.msgs.has(id) || p.sawMsg[id] || p.delivered[id]
+	ex.Known = st != nil || r.is(recInMSG|recSeen|recDelivered)
 	// Retired: delivered and no longer retransmitted. A fast-delivered
 	// message whose MSG copy never arrived is also absent from MSG_i, so
 	// require the copy to have been seen before calling it retired.
-	ex.Retired = ex.Delivered && !p.msgs.has(id) && p.sawMsg[id]
+	ex.Retired = ex.Delivered && !r.is(recInMSG) && r.is(recSeen)
 	for _, pair := range p.det.ATheta() {
 		have := 0
 		if st != nil {

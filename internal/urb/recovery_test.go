@@ -243,7 +243,7 @@ func (c *recCluster) drain(t *testing.T, name string) {
 // body (shared oracle labels are comparable across clusters).
 func claimsByLabel(p *Quiescent) map[string]map[ident.Tag]int {
 	out := make(map[string]map[ident.Tag]int)
-	for id, st := range p.acks {
+	for id, st := range p.ackStates() {
 		m := make(map[ident.Tag]int, len(st.claims))
 		for l, cnt := range st.claims {
 			m[l] = cnt

@@ -167,7 +167,7 @@ func vetRestoredQuiescent(t *testing.T, p, scratch *Quiescent) {
 	if err := scratch.Restore(snap); err != nil {
 		t.Fatalf("accepted state does not round-trip: %v", err)
 	}
-	driveNoRedelivery(t, p, p.delivered)
+	driveNoRedelivery(t, p, p.deliveredIDs())
 }
 
 func vetRestoredHost(t *testing.T, h, scratch *HeartbeatHost) {
@@ -179,14 +179,14 @@ func vetRestoredHost(t *testing.T, h, scratch *HeartbeatHost) {
 	if err := scratch.Restore(snap); err != nil {
 		t.Fatalf("accepted host state does not round-trip: %v", err)
 	}
-	driveNoRedelivery(t, h, h.inner.delivered)
+	driveNoRedelivery(t, h, h.inner.deliveredIDs())
 }
 
 // driveNoRedelivery converts p to joiner state and drives it: replaying
 // MSG copies of claimed-delivered history and running retransmission
 // rounds must never deliver an adopted id (uniform integrity from
 // arbitrary state), and anything else delivered must arrive only once.
-func driveNoRedelivery(t *testing.T, p Process, delivered deliveredSet) {
+func driveNoRedelivery(t *testing.T, p Process, delivered map[wire.MsgID]bool) {
 	t.Helper()
 	adopted := make(map[wire.MsgID]bool, len(delivered))
 	for id := range delivered {

@@ -245,82 +245,55 @@ func (b *resyncBudget) take(limit int, tick uint64) bool {
 	return true
 }
 
-// msgEntry tracks one known application message in insertion order.
-type msgEntry struct {
-	id wire.MsgID
+// recFlags are a message record's membership bits, one per per-message
+// set of the paper's pseudocode: a MSG copy seen (received or locally
+// broadcast; a delivery without it is "fast"), URB_DELIVERED_i, MSG_i
+// (the set Task 1 retransmits) and MY_ACK_i (mine holds the tag_ack).
+type recFlags uint8
+
+const (
+	recSeen recFlags = 1 << iota
+	recDelivered
+	recInMSG
+	recPinned
+)
+
+// msgRec is the one record a process keeps per known message (DESIGN.md
+// §10): the paper's per-message sets are bits and fields of it, so an
+// input hashes its MsgID once, to find the record, instead of once per
+// set it consults.
+type msgRec struct {
+	id    wire.MsgID
+	flags recFlags
+	ord   int       // first-ACK ordinal: the record's index in common.acked
+	body  []byte    // payload shared by every MSG retransmission while in MSG_i
+	mine  ident.Tag // pinned tag_ack (recPinned); never changes once pinned
+	// tally is Algorithm 1's ALL_ACK_i entry (distinct tag_acks), st
+	// Algorithm 2's ACK bookkeeping and ledger its delta-ACK sender entry
+	// (D5); each nil until first needed.
+	tally  *ident.Set
+	st     *ackState
+	ledger *ackSendState
 }
 
-// msgSet is the paper's MSG_i: an insertion-ordered set of message
-// identities, iterated by Task 1. Insertion order (rather than map order)
-// keeps runs deterministic.
-type msgSet struct {
-	order []msgEntry
-	index map[wire.MsgID]int
-}
-
-func newMsgSet() *msgSet {
-	return &msgSet{index: make(map[wire.MsgID]int)}
-}
-
-func (s *msgSet) has(id wire.MsgID) bool {
-	_, ok := s.index[id]
-	return ok
-}
-
-func (s *msgSet) add(id wire.MsgID) bool {
-	if s.has(id) {
-		return false
-	}
-	s.index[id] = len(s.order)
-	s.order = append(s.order, msgEntry{id: id})
-	return true
-}
-
-func (s *msgSet) remove(id wire.MsgID) bool {
-	i, ok := s.index[id]
-	if !ok {
-		return false
-	}
-	copy(s.order[i:], s.order[i+1:])
-	s.order = s.order[:len(s.order)-1]
-	delete(s.index, id)
-	for j := i; j < len(s.order); j++ {
-		s.index[s.order[j].id] = j
-	}
-	return true
-}
-
-func (s *msgSet) len() int { return len(s.order) }
-
-// snapshotIDs returns the identities in insertion order; Task 1 iterates
-// over a snapshot so that removals during the pass are well-defined.
-func (s *msgSet) snapshotIDs() []wire.MsgID {
-	ids := make([]wire.MsgID, len(s.order))
-	for i, e := range s.order {
-		ids[i] = e.id
-	}
-	return ids
-}
-
-// deliveredSet is the paper's URB_DELIVERED_i.
-type deliveredSet map[wire.MsgID]bool
-
-// myAcks is the paper's MY_ACK_i: the unique tag_ack this process
-// generated for each message it has acknowledged. Once generated it never
-// changes (uniform integrity depends on this).
-type myAcks map[wire.MsgID]ident.Tag
+func (r *msgRec) is(f recFlags) bool { return r.flags&f != 0 }
 
 // common holds the state shared by both algorithms.
 type common struct {
-	cfg       Config
-	tags      *ident.Source
-	msgs      *msgSet
-	delivered deliveredSet
-	mine      myAcks
-	// sawMsg records messages for which a MSG copy has been received (or
-	// locally broadcast); a delivery without this is a "fast delivery".
-	sawMsg   map[wire.MsgID]bool
-	wireSent uint64
+	cfg  Config
+	tags *ident.Source
+	// recs is the record table: one record per message this process has
+	// heard of. It never shrinks — delivered identities must stay
+	// remembered, exactly as URB_DELIVERED_i does in the paper.
+	recs map[wire.MsgID]*msgRec
+	// msgs is MSG_i in insertion order: the records Task 1 retransmits
+	// (insertion order rather than map order keeps runs deterministic).
+	msgs []*msgRec
+	// acked lists the records holding ACK evidence in first-ACK order.
+	acked []*msgRec
+	// delivered and pinned count |URB_DELIVERED_i| and |MY_ACK_i|.
+	delivered, pinned int
+	wireSent          uint64
 	// tr is the lifecycle tracer (DESIGN.md §14). nil — the zero value —
 	// is OFF: every emit site guards on the pointer, so an untraced run
 	// pays one branch and allocates nothing. The tracer is observability
@@ -331,19 +304,124 @@ type common struct {
 }
 
 func newCommon(cfg Config, tags *ident.Source) common {
-	return common{
-		cfg:       cfg,
-		tags:      tags,
-		msgs:      newMsgSet(),
-		delivered: make(deliveredSet),
-		mine:      make(myAcks),
-		sawMsg:    make(map[wire.MsgID]bool),
-	}
+	return common{cfg: cfg, tags: tags, recs: make(map[wire.MsgID]*msgRec)}
 }
 
 // SetTracer installs (or, with nil, removes) the lifecycle tracer. Part
 // of the obs.Traceable contract; hosts call it before the first step.
 func (c *common) SetTracer(t *obs.Tracer) { c.tr = t }
+
+// record returns id's record, creating it on first sight.
+func (c *common) record(id wire.MsgID) *msgRec {
+	r := c.recs[id]
+	if r == nil {
+		r = &msgRec{id: id}
+		c.recs[id] = r
+	}
+	return r
+}
+
+// has reports whether id's record carries flag f.
+func (c *common) has(id wire.MsgID, f recFlags) bool {
+	r := c.recs[id]
+	return r != nil && r.is(f)
+}
+
+// HasDelivered reports whether id has been URB-delivered locally.
+func (c *common) HasDelivered(id wire.MsgID) bool { return c.has(id, recDelivered) }
+
+// KnowsMsg reports whether id is currently in MSG_i (for Algorithm 2,
+// false once retired).
+func (c *common) KnowsMsg(id wire.MsgID) bool { return c.has(id, recInMSG) }
+
+// Broadcast implements URB_broadcast(m) (lines 4-6 of both
+// algorithms): draw a fresh tag, insert (m, tag) into MSG_i.
+// Transmission happens in Task 1 (or immediately under the
+// EagerFirstSend ablation).
+func (c *common) Broadcast(body []byte) (wire.MsgID, Step) {
+	var out Step
+	id := wire.NewMsgID(c.tags.Next(), body)
+	r := c.record(id)
+	c.addMsg(r)
+	r.flags |= recSeen
+	if c.tr != nil {
+		c.tr.Broadcast(id)
+	}
+	out.Durable = append(out.Durable,
+		DurableEvent{Kind: WALBroadcast, ID: id, Draws: c.tags.Draws()})
+	if c.cfg.EagerFirstSend {
+		c.send(&out, wire.NewMsg(id))
+	}
+	return id, out
+}
+
+// seeMsg is the part of receive(MSG, m, tag) both algorithms share: mark
+// the MSG copy seen and, on first reception, draw the unique tag_ack for
+// (m, tag) and pin it. It must never change afterwards: uniform
+// integrity counts distinct ackers by distinct tag_acks — which is also
+// why the pin is a durable event (DESIGN.md §9): a recovered process
+// acking under a fresh tag_ack would count as a phantom second acker.
+func (c *common) seeMsg(out *Step, m wire.Message) *msgRec {
+	r := c.record(m.ID())
+	// RECV traces the first MSG copy only: retransmissions are the fair
+	// lossy channel's business, not the message lifecycle's.
+	if c.tr != nil && !r.is(recSeen) {
+		c.tr.Recv(r.id, wire.KindMsg)
+	}
+	r.flags |= recSeen
+	if !r.is(recPinned) {
+		c.pin(r, c.tags.Next())
+		out.Durable = append(out.Durable,
+			DurableEvent{Kind: WALPin, ID: r.id, Ack: r.mine, Draws: c.tags.Draws()})
+	}
+	return r
+}
+
+// addMsg inserts r into MSG_i; it reports whether r was newly added.
+func (c *common) addMsg(r *msgRec) bool {
+	if r.is(recInMSG) {
+		return false
+	}
+	r.flags |= recInMSG
+	r.body = []byte(r.id.Body)
+	c.msgs = append(c.msgs, r)
+	return true
+}
+
+// markDelivered adds r to URB_DELIVERED_i; it reports whether r was
+// newly added.
+func (c *common) markDelivered(r *msgRec) bool {
+	if r.is(recDelivered) {
+		return false
+	}
+	r.flags |= recDelivered
+	c.delivered++
+	return true
+}
+
+// pin records ack as this process's tag_ack for r.
+func (c *common) pin(r *msgRec, ack ident.Tag) {
+	if !r.is(recPinned) {
+		r.flags |= recPinned
+		c.pinned++
+	}
+	r.mine = ack
+}
+
+// dropPins empties MY_ACK_i (the join protocol's Adopt).
+func (c *common) dropPins() {
+	for _, r := range c.recs {
+		r.flags &^= recPinned
+		r.mine = ident.Tag{}
+	}
+	c.pinned = 0
+}
+
+// noteAcked appends r to the first-ACK order.
+func (c *common) noteAcked(r *msgRec) {
+	r.ord = len(c.acked)
+	c.acked = append(c.acked, r)
+}
 
 // send accounts for and returns a broadcast.
 func (c *common) send(out *Step, m wire.Message) {
@@ -354,16 +432,15 @@ func (c *common) send(out *Step, m wire.Message) {
 	out.Broadcasts = append(out.Broadcasts, m)
 }
 
-// deliverOnce appends a delivery if id has not been delivered yet.
-func (c *common) deliverOnce(out *Step, id wire.MsgID) bool {
-	if c.delivered[id] {
+// deliverOnce appends a delivery if r has not been delivered yet.
+func (c *common) deliverOnce(out *Step, r *msgRec) bool {
+	if !c.markDelivered(r) {
 		return false
 	}
-	c.delivered[id] = true
-	fast := !c.sawMsg[id]
+	fast := !r.is(recSeen)
 	if c.tr != nil {
-		c.tr.Deliver(id, fast)
+		c.tr.Deliver(r.id, fast)
 	}
-	out.Deliveries = append(out.Deliveries, Delivery{ID: id, Fast: fast})
+	out.Deliveries = append(out.Deliveries, Delivery{ID: r.id, Fast: fast})
 	return true
 }

@@ -278,6 +278,13 @@ func NewMsg(id MsgID) Message {
 	return Message{Kind: KindMsg, Body: []byte(id.Body), Tag: id.Tag}
 }
 
+// NewMsgShared builds a MSG message carrying body without copying it:
+// a sender retransmitting one payload many times builds the bytes once
+// and shares them, immutable, across every copy.
+func NewMsgShared(tag ident.Tag, body []byte) Message {
+	return Message{Kind: KindMsg, Body: body, Tag: tag}
+}
+
 // NewAck builds an Algorithm 1 ACK message.
 func NewAck(id MsgID, ackTag ident.Tag) Message {
 	return Message{Kind: KindAck, Body: []byte(id.Body), Tag: id.Tag, AckTag: ackTag}
