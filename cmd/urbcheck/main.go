@@ -1,13 +1,18 @@
 // Command urbcheck verifies a recorded run against the URB specification:
 // validity, uniform agreement, uniform integrity, the crash model and
-// channel integrity (see internal/trace). With -snapshot it instead
+// channel integrity. The verdict is trace.Checker's, the same referee
+// the harness, the nemesis auditors and the benches use; history a
+// joiner adopted (adopt events) counts as delivered, and delivering it
+// again is an integrity violation. With -snapshot it instead
 // verifies a saved durable-state snapshot (DESIGN.md §9): the codec
 // version, the structure, and the embedded fingerprint digest.
 //
 // Usage:
 //
 //	urbcheck trace.jsonl          # verify a trace file
+//	urbcheck internal/trace/testdata/duplicate.jsonl  # a golden violating trace: exit 1
 //	urbsim ... -trace out.jsonl && urbcheck out.jsonl
+//	urbcheck -truncated t.jsonl   # a run prefix: skip validity and agreement
 //	urbcheck -selftest            # record a fresh run and verify it
 //	urbcheck -snapshot snapshot.bin   # verify a durable-state snapshot
 //	urbcheck -explain             # stall-explainer demo on a partitioned cluster

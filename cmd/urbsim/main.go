@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strings"
 
 	"anonurb/internal/channel"
@@ -259,7 +260,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
 			os.Exit(2)
 		}
-		if err := trace.Write(f, *n, out.Result.Crashed, rec.Events()); err != nil {
+		events := slices.Concat(rec.Events(), trace.AdoptEvents(out.Result))
+		if err := trace.Write(f, *n, out.Result.Crashed, events); err != nil {
 			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
 			os.Exit(2)
 		}
@@ -267,7 +269,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("trace    : %d events written to %s\n", len(rec.Events()), *traceOut)
+		fmt.Printf("trace    : %d events written to %s\n", len(events), *traceOut)
 	}
 
 	if lifecycle != nil {

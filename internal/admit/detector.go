@@ -67,7 +67,7 @@ type Config struct {
 	// admitted→demoted transition (the same transitions Stats counts as
 	// Demotions). It is an observability hook — it must not block: it
 	// runs on the stage's ingest goroutine, on the hot path.
-	OnDemote func(flow uint64)
+	OnDemote func(flow uint64) `json:"-"`
 }
 
 // WithDefaults returns c with zero fields filled in with the package

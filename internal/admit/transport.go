@@ -126,12 +126,10 @@ func (t *Transport) classify(frame []byte) {
 	off := 0
 	runDemoted := false
 	runFlow := uint64(0)
-	first := true
-	runs := 0
+	first, split := true, false
 	flush := func(end int) {
 		if end > runStart {
 			t.offer(frame[runStart:end], runDemoted, runFlow)
-			runs++
 		}
 		runStart = end
 	}
@@ -155,15 +153,18 @@ func (t *Transport) classify(frame []byte) {
 		if first {
 			runDemoted, runFlow, first = demoted, flow, false
 		} else if demoted != runDemoted {
+			// Count the split before any run is offered: a receiver
+			// that reads a run and then Stats must see it counted.
+			if !split {
+				split = true
+				t.splitFrames.Add(1)
+			}
 			flush(off)
 			runDemoted, runFlow = demoted, flow
 		}
 		off += size
 	}
 	flush(len(frame))
-	if runs > 1 {
-		t.splitFrames.Add(1)
-	}
 }
 
 // offer pushes a frame (or run subslice) to a lane; a full lane drops

@@ -12,6 +12,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"anonurb/internal/ident"
 	"anonurb/internal/liverun"
 	"anonurb/internal/store"
+	"anonurb/internal/trace"
 	"anonurb/internal/urb"
 )
 
@@ -58,58 +60,47 @@ type ChurnResult struct {
 	ConvergeMS float64 `json:"converge_ms"`
 	// Deliveries is the run-wide delivery count across all processes.
 	Deliveries uint64 `json:"deliveries"`
-	// Redelivered counts duplicate deliveries of any body at any
-	// process — the hard gate, zero or the run is broken.
+	// Redelivered counts duplicate deliveries of any message at any
+	// process, adopted history delivered at the joiner included, as
+	// trace.Checker counts them — the hard gate, zero or the run is
+	// broken.
 	Redelivered uint64 `json:"redelivered"`
 }
 
-// churnLedger tracks per-process delivery multiplicity.
+// churnLedger records every delivery for the referee and indexes the
+// delivered bodies per process for the polling that drives the run.
 type churnLedger struct {
-	mu    sync.Mutex
-	seen  map[int]map[string]int
-	total uint64
+	mu     sync.Mutex
+	seen   map[int]map[string]bool
+	events []trace.Event
 }
 
-func newChurnLedger() *churnLedger { return &churnLedger{seen: make(map[int]map[string]int)} }
+func newChurnLedger() *churnLedger { return &churnLedger{seen: make(map[int]map[string]bool)} }
 
 func (l *churnLedger) onDeliver(d liverun.Delivery) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	m := l.seen[d.Proc]
 	if m == nil {
-		m = make(map[string]int)
+		m = make(map[string]bool)
 		l.seen[d.Proc] = m
 	}
-	m[d.ID.Body]++
-	l.total++
+	m[d.ID.Body] = true
+	l.events = append(l.events, trace.Event{Kind: trace.KindDeliver, Proc: d.Proc, ID: d.ID})
 }
 
-// redelivered counts duplicate deliveries across every process.
-func (l *churnLedger) redelivered() uint64 {
+// recorded returns a copy of the deliveries recorded so far.
+func (l *churnLedger) recorded() []trace.Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var dup uint64
-	for _, m := range l.seen {
-		for _, c := range m {
-			if c > 1 {
-				dup += uint64(c - 1)
-			}
-		}
-	}
-	return dup
-}
-
-func (l *churnLedger) deliveredAt(proc int, body string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seen[proc][body] > 0
+	return slices.Clone(l.events)
 }
 
 func (l *churnLedger) deliveredEverywhere(body string, procs int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for p := 0; p < procs; p++ {
-		if l.seen[p][body] == 0 {
+		if !l.seen[p][body] {
 			return false
 		}
 	}
@@ -148,9 +139,9 @@ func RunChurn(sc ChurnScenario) (ChurnResult, error) {
 		return nil
 	}
 
-	// Pre-join history: the snapshot-size driver. Waiting on the last
-	// body keeps the harness simple; the retirement machinery keeps the
-	// rest flowing behind it.
+	// Pre-join history: the snapshot-size driver. Waiting on every
+	// eighth body paces the broadcasts; the retirement machinery keeps
+	// the rest flowing behind it.
 	for i := 0; i < sc.History; i++ {
 		body := fmt.Sprintf("h%d", i)
 		if !c.Broadcast(i%sc.Founders, []byte(body)) {
@@ -162,6 +153,16 @@ func RunChurn(sc ChurnScenario) (ChurnResult, error) {
 			}
 		}
 	}
+
+	// All history is delivered everywhere before the join, so the
+	// donor's snapshot holds every history message as delivered: the
+	// joiner adopts all of it.
+	for i := 0; i < sc.History; i++ {
+		if err := waitAll(fmt.Sprintf("h%d", i), sc.Founders, 20*time.Second); err != nil {
+			return res, fmt.Errorf("pre-join: %w", err)
+		}
+	}
+	history := ledger.recorded()
 
 	// The join: real SNAPREQ/SNAPCHUNK transfer from whichever founder
 	// answers. Latency is the whole bootstrap — solicit to Adopt.
@@ -194,17 +195,14 @@ func RunChurn(sc ChurnScenario) (ChurnResult, error) {
 	}
 	res.ConvergeMS = float64(time.Since(convergeStart).Microseconds()) / 1000
 
-	// The hard gate inputs: adopted history must never surface as a
-	// delivery at the joiner, and nothing is delivered twice anywhere.
-	for i := 0; i < sc.History; i++ {
-		if ledger.deliveredAt(joiner, fmt.Sprintf("h%d", i)) {
-			res.Redelivered++
-		}
+	// The hard gate: adopted history must never surface as a delivery
+	// at the joiner, and nothing is delivered twice anywhere.
+	events := ledger.recorded()
+	res.Deliveries = uint64(len(events))
+	for _, e := range history {
+		events = append(events, trace.Event{Kind: trace.KindAdopt, Proc: joiner, ID: e.ID})
 	}
-	res.Redelivered += ledger.redelivered()
-	ledger.mu.Lock()
-	res.Deliveries = ledger.total
-	ledger.mu.Unlock()
+	res.Redelivered = redelivered(n, events)
 	for p := 0; p < n; p++ {
 		_, _, _, snap, _ := c.Node(p).ByteStats()
 		res.CatchupWireBytes += snap

@@ -11,6 +11,7 @@ import (
 	"anonurb/internal/ident"
 	"anonurb/internal/node"
 	"anonurb/internal/store"
+	"anonurb/internal/trace"
 	"anonurb/internal/transport"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
@@ -88,8 +89,10 @@ type RecoveryResult struct {
 	// CatchupMS is the time from the recovered node's Start until it has
 	// delivered every message broadcast while it was down.
 	CatchupMS float64 `json:"catchup_ms"`
-	// Redelivered counts pre-crash deliveries the recovered node
-	// delivered again. The subsystem's correctness bar: always 0.
+	// Redelivered counts deliveries beyond the first of one message at
+	// one node, pre-crash messages the recovered node delivered again
+	// included, as trace.Checker counts them over every delivery the
+	// run observed. The subsystem's correctness bar: always 0.
 	Redelivered uint64 `json:"redelivered"`
 }
 
@@ -197,16 +200,14 @@ func RunRecovery(w RecoveryWorkload) (RecoveryResult, error) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	preIDs := make(map[wire.MsgID]bool, w.Messages)
+	var observed deliveryLog
 	for i := 0; i < w.Messages; i++ {
 		payload[0], payload[1] = byte(i), byte(i>>8)
-		id, err := nodes[i%w.N].Broadcast(payload)
-		if err != nil {
+		if _, err := nodes[i%w.N].Broadcast(payload); err != nil {
 			return RecoveryResult{}, fmt.Errorf("bench: broadcast %d: %w", i, err)
 		}
-		preIDs[id] = true
 	}
-	if err := drainAll(inboxes, w.Messages, w.Timeout); err != nil {
+	if err := observed.drain(inboxes, 0, w.Messages, w.Timeout); err != nil {
 		return RecoveryResult{}, fmt.Errorf("bench: pre-crash phase: %w (%s)", err, w)
 	}
 	if w.CheckpointEvery < time.Hour {
@@ -250,7 +251,7 @@ func RunRecovery(w RecoveryWorkload) (RecoveryResult, error) {
 		// Survivors can deliver without the durable node (majority); for
 		// Quiescent with an all-correct oracle they are blocked until it
 		// returns, so the wait happens after recovery instead.
-		if err := drainAll(inboxes[1:], w.PostMessages, w.Timeout); err != nil {
+		if err := observed.drain(inboxes, 1, w.PostMessages, w.Timeout); err != nil {
 			return RecoveryResult{}, fmt.Errorf("bench: while-down phase: %w (%s)", err, w)
 		}
 	}
@@ -289,10 +290,7 @@ func RunRecovery(w RecoveryWorkload) (RecoveryResult, error) {
 			if !ok {
 				return RecoveryResult{}, fmt.Errorf("bench: recovered node stopped mid-catchup (%s)", w)
 			}
-			if preIDs[d.ID] {
-				res.Redelivered++
-				continue
-			}
+			observed.add(0, d)
 			if postIDs[d.ID] {
 				caught++
 			}
@@ -314,9 +312,7 @@ settleLoop:
 			if !ok {
 				break settleLoop
 			}
-			if preIDs[d.ID] {
-				res.Redelivered++
-			}
+			observed.add(0, d)
 		case <-settle.C:
 			break settleLoop
 		}
@@ -324,30 +320,48 @@ settleLoop:
 	if w.Algo == AlgoQuiescent {
 		// The survivors were blocked on the durable node; they complete
 		// only now.
-		if err := drainAll(inboxes[1:], w.PostMessages, w.Timeout); err != nil {
+		if err := observed.drain(inboxes, 1, w.PostMessages, w.Timeout); err != nil {
 			return RecoveryResult{}, fmt.Errorf("bench: post-recovery drain: %w (%s)", err, w)
 		}
 	}
+	res.Redelivered = redelivered(w.N, observed)
 	return res, nil
 }
 
-// drainAll waits until every inbox yielded want more deliveries.
-func drainAll(inboxes []<-chan node.Delivery, want int, timeout time.Duration) error {
+// deliveryLog records the deliveries a run observes, for the referee.
+type deliveryLog []trace.Event
+
+func (l *deliveryLog) add(proc int, d node.Delivery) {
+	*l = append(*l, trace.Event{Kind: trace.KindDeliver, Proc: proc, ID: d.ID})
+}
+
+// drain waits until every inbox from index first on yielded want more
+// deliveries, recording them.
+func (l *deliveryLog) drain(inboxes []<-chan node.Delivery, first, want int, timeout time.Duration) error {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	for i, ch := range inboxes {
+	for i := first; i < len(inboxes); i++ {
 		for k := 0; k < want; k++ {
 			select {
-			case _, ok := <-ch:
+			case d, ok := <-inboxes[i]:
 				if !ok {
 					return fmt.Errorf("inbox %d closed at %d/%d", i, k, want)
 				}
+				l.add(i, d)
 			case <-deadline.C:
 				return fmt.Errorf("inbox %d stuck at %d/%d deliveries", i, k, want)
 			}
 		}
 	}
 	return nil
+}
+
+// redelivered is trace.Checker's re-delivery count over the deliveries
+// (and adoptions) of an n-process run not checked for convergence.
+func redelivered(n int, events []trace.Event) uint64 {
+	c := trace.NewChecker(n, make([]bool, n))
+	c.CheckConvergent = false
+	return uint64(c.Check(events).Redelivered)
 }
 
 // RecoveryMatrix returns the standard recovery benchmark cells: the

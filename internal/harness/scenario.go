@@ -19,6 +19,7 @@ import (
 	"anonurb/internal/sim"
 	"anonurb/internal/trace"
 	"anonurb/internal/urb"
+	"anonurb/internal/wire"
 	"anonurb/internal/workload"
 	"anonurb/internal/xrand"
 )
@@ -132,8 +133,8 @@ type Outcome struct {
 	Latency *metrics.Histogram
 	// Issued is the number of URB-broadcasts actually executed.
 	Issued int
-	// DeliveredAll reports that every correct process delivered every
-	// issued message.
+	// DeliveredAll reports that every correct process delivered (or
+	// adopted) every obliged message: Report.Missing is empty.
 	DeliveredAll bool
 	// QuiesceTime is the time of the last wire send for quiescent runs,
 	// or -1 if the run never went quiet.
@@ -280,57 +281,26 @@ func analyze(s Scenario, oracle *fd.Oracle, res sim.Result) Outcome {
 		o.WireMessages = res.Net.Sent / uint64(len(res.Deliveries))
 	}
 
-	born := make(map[string]sim.Time, len(res.Broadcasts))
-	// obliged holds the message bodies every correct process must have
-	// delivered for the run to count as converged: messages broadcast by
-	// correct processes, plus messages anybody delivered (uniform
-	// agreement). A faulty sender's message that nobody delivered may
-	// legally vanish and obliges nothing.
-	obliged := make(map[string]bool)
+	born := make(map[wire.MsgID]sim.Time, len(res.Broadcasts))
 	for _, b := range res.Broadcasts {
-		born[b.ID.Body] = b.At
-		if !res.Crashed[b.Proc] {
-			obliged[b.ID.Body] = true
-		}
-	}
-	for _, ds := range res.Deliveries {
-		for _, d := range ds {
-			if _, issued := born[d.ID.Body]; issued {
-				obliged[d.ID.Body] = true
-			}
-		}
+		born[b.ID] = b.At
 	}
 	fast, total := 0, 0
-	deliveredAll := true
 	for p, ds := range res.Deliveries {
 		if res.Crashed[p] {
 			continue
 		}
-		got := make(map[string]bool, len(ds))
 		for _, d := range ds {
 			total++
 			if d.Fast {
 				fast++
 			}
-			if bt, ok := born[d.ID.Body]; ok {
+			if bt, ok := born[d.ID]; ok {
 				o.Latency.Observe(d.At - bt)
-				got[d.ID.Body] = true
-			}
-		}
-		// History a joiner adopted counts as delivered: uniformity
-		// forbids it from ever delivering those messages itself.
-		if p < len(res.Adopted) {
-			for id := range res.Adopted[p] {
-				got[id.Body] = true
-			}
-		}
-		for body := range obliged {
-			if !got[body] {
-				deliveredAll = false
 			}
 		}
 	}
-	o.DeliveredAll = deliveredAll && len(res.Broadcasts) > 0
+	o.DeliveredAll = len(o.Report.Missing) == 0 && len(res.Broadcasts) > 0
 	if total > 0 {
 		o.FastFraction = float64(fast) / float64(total)
 	}

@@ -2,6 +2,7 @@ package nemesis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/liverun"
 	"anonurb/internal/store"
+	"anonurb/internal/trace"
 	"anonurb/internal/wire"
 )
 
@@ -145,8 +147,8 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 		joined    = map[int]bool{} // join completed
 		joinFail  = map[int]bool{}
 		corrupted = map[int]func(){} // armed snapcorrupt: proc → clear-and-note
-		issued    = map[wire.MsgID]int64{}
-		origin    = map[wire.MsgID]int{}
+		issued    []trace.Event      // broadcasts, in issue order
+		born      = map[wire.MsgID]int64{}
 		preCrash  = map[int]map[wire.MsgID]int{} // ledger counts at crash instant
 	)
 
@@ -190,8 +192,8 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 			}
 			id, err := cl.Node(b.Proc).Broadcast(b.Body)
 			if err == nil {
-				issued[id] = b.At
-				origin[id] = b.Proc
+				issued = append(issued, trace.Event{Kind: trace.KindBroadcast, Proc: b.Proc, ID: id})
+				born[id] = b.At
 			}
 		}})
 	}
@@ -316,78 +318,47 @@ func RunLive(lr LiveRun) (*LiveResult, error) {
 	}
 	sort.Ints(a.PendingJoins)
 
-	// survivors are every proc held to the agreement obligation.
-	var survivors []int
-	for p := 0; p < cl.N(); p++ {
-		if left[p] || joinFail[p] {
-			continue
+	// notHeld marks the procs exempt from the agreement obligation:
+	// those that left, crashed for good or never joined.
+	notHeld := make([]bool, cl.N())
+	for p := range notHeld {
+		notHeld[p] = left[p] || joinFail[p] || (p >= lr.Config.N && !joined[p])
+		if !notHeld[p] {
+			a.Survivors++
 		}
-		if p >= lr.Config.N && !joined[p] {
-			continue
-		}
-		survivors = append(survivors, p)
 	}
-	a.Survivors = len(survivors)
 
 	// check returns the missing (proc, id) pairs and the re-delivery
-	// count right now. A message counts as held by a proc when the
-	// ledger saw a delivery or the proc's explainer reports it
-	// delivered (which covers adopted join history and
-	// recovery-restored state).
+	// count right now, as trace.Checker reads the ledger. The procs
+	// share no clock, so every event carries At = 0. A message counts
+	// as held by a proc when the ledger saw a delivery or the proc's
+	// explainer reports it delivered (which covers adopted join history
+	// and recovery-restored state).
 	check := func(explain bool) (missing []Stall, redelivered int) {
+		events := slices.Clone(issued)
 		mu.Lock()
-		counts := make(map[int]map[wire.MsgID]int, len(ledger))
 		for p, m := range ledger {
-			cp := make(map[wire.MsgID]int, len(m))
 			for id, n := range m {
-				cp[id] = n
+				for ; n > 0; n-- {
+					events = append(events, trace.Event{Kind: trace.KindDeliver, Proc: p, ID: id})
+				}
 			}
-			counts[p] = cp
 		}
 		mu.Unlock()
-		for _, m := range counts {
-			for _, n := range m {
-				if n > 1 {
-					redelivered += n - 1
-				}
+		rep := trace.NewChecker(cl.N(), notHeld).Check(events)
+		for _, m := range rep.Missing {
+			ex, err := cl.Explain(m.Proc, m.ID)
+			if err == nil && ex.Delivered {
+				continue
 			}
-		}
-		// The agreement set: messages issued by procs still standing,
-		// plus anything anybody delivered (uniformity). A departed
-		// proc's message nobody delivered may legally vanish.
-		obliged := map[wire.MsgID]bool{}
-		for id, p := range origin {
-			if !left[p] {
-				obliged[id] = true
+			st := Stall{Proc: m.Proc, ID: m.ID, Born: born[m.ID], Stage: c.Blame(born[m.ID])}
+			if explain && err == nil {
+				st.Explanation = ex
+				st.HasExplanation = true
 			}
+			missing = append(missing, st)
 		}
-		for _, m := range counts {
-			for id, n := range m {
-				if n > 0 {
-					if _, ok := issued[id]; ok {
-						obliged[id] = true
-					}
-				}
-			}
-		}
-		for _, p := range survivors {
-			for id := range obliged {
-				if counts[p][id] > 0 {
-					continue
-				}
-				ex, err := cl.Explain(p, id)
-				if err == nil && ex.Delivered {
-					continue
-				}
-				st := Stall{Proc: p, ID: id, Born: issued[id], Stage: c.Blame(issued[id])}
-				if explain && err == nil {
-					st.Explanation = ex
-					st.HasExplanation = true
-				}
-				missing = append(missing, st)
-			}
-		}
-		return missing, redelivered
+		return missing, rep.Redelivered
 	}
 
 	deadline := healWall.Add(time.Duration(c.HealDeadline) * cfg.Unit)

@@ -2,11 +2,11 @@ package nemesis
 
 import (
 	"fmt"
-	"sort"
 
 	"anonurb/internal/obs"
 	"anonurb/internal/sim"
 	"anonurb/internal/store"
+	"anonurb/internal/trace"
 	"anonurb/internal/wire"
 )
 
@@ -132,64 +132,40 @@ func lastBroadcast(bs []sim.ScheduledBroadcast) sim.Time {
 
 // auditSim checks uniform agreement, join completion and re-delivery
 // over a finished simulator run, attributing every stall to the stage
-// in force when the message was born.
+// in force when the message was born. The verdict comes from
+// trace.Checker; processes that crashed for good or never completed a
+// scheduled join are not held to agreement.
 func auditSim(c Campaign, cfg sim.Config, e *sim.Engine, res sim.Result, heal int64) Audit {
 	a := Audit{Campaign: c.Name, HealTime: heal, Deadline: c.HealDeadline,
 		EndTime: res.EndTime, HealLatency: -1}
 
-	// born maps every issued message to its broadcast time; obliged is
-	// the agreement set: messages broadcast by correct (surviving or
-	// recovered) processes, plus messages anybody delivered. A faulty
-	// sender's message nobody delivered may legally vanish.
+	notHeld := make([]bool, cfg.N)
+	for p := range notHeld {
+		switch {
+		case res.Crashed[p]:
+			notHeld[p] = true
+		case cfg.JoinAt[p] > 0 && res.JoinedAt[p] == sim.Never:
+			notHeld[p] = true
+			a.PendingJoins = append(a.PendingJoins, p)
+		default:
+			a.Survivors++
+		}
+	}
+	rep := trace.NewChecker(cfg.N, notHeld).Check(trace.ResultEvents(res))
+	a.Redelivered = rep.Redelivered
+
 	born := make(map[wire.MsgID]int64, len(res.Broadcasts))
-	obliged := make(map[wire.MsgID]bool)
 	for _, b := range res.Broadcasts {
 		born[b.ID] = b.At
-		if !res.Crashed[b.Proc] {
-			obliged[b.ID] = true
-		}
 	}
-	got := make([]map[wire.MsgID]bool, cfg.N)
-	for p, ds := range res.Deliveries {
-		got[p] = make(map[wire.MsgID]bool, len(ds))
-		for _, d := range ds {
-			if got[p][d.ID] {
-				a.Redelivered++
-			}
-			got[p][d.ID] = true
-			if _, issued := born[d.ID]; issued {
-				obliged[d.ID] = true
-			}
+	for _, m := range rep.Missing {
+		st := Stall{Proc: m.Proc, ID: m.ID, Born: born[m.ID], Stage: c.Blame(born[m.ID])}
+		if ex, ok := e.Process(m.Proc).(obs.Explainer); ok {
+			st.Explanation = ex.Explain(m.ID)
+			st.HasExplanation = true
 		}
+		a.Stalls = append(a.Stalls, st)
 	}
-
-	for p := 0; p < cfg.N; p++ {
-		if res.Crashed[p] {
-			continue
-		}
-		if cfg.JoinAt[p] > 0 && res.JoinedAt[p] == sim.Never {
-			a.PendingJoins = append(a.PendingJoins, p)
-			continue
-		}
-		a.Survivors++
-		for id := range obliged {
-			if got[p][id] || (res.Adopted[p] != nil && res.Adopted[p][id]) {
-				continue
-			}
-			st := Stall{Proc: p, ID: id, Born: born[id], Stage: c.Blame(born[id])}
-			if ex, ok := e.Process(p).(obs.Explainer); ok {
-				st.Explanation = ex.Explain(id)
-				st.HasExplanation = true
-			}
-			a.Stalls = append(a.Stalls, st)
-		}
-	}
-	sort.Slice(a.Stalls, func(i, j int) bool {
-		if a.Stalls[i].Proc != a.Stalls[j].Proc {
-			return a.Stalls[i].Proc < a.Stalls[j].Proc
-		}
-		return a.Stalls[i].Born < a.Stalls[j].Born
-	})
 	a.Agreement = len(a.Stalls) == 0 && len(a.PendingJoins) == 0
 	if a.Agreement {
 		a.HealLatency = res.EndTime - heal

@@ -356,6 +356,12 @@ func TestNodeURBDeliversEverywhereUnbatched(t *testing.T) {
 			t.Fatalf("node %d never delivered", i)
 		}
 	}
+	// Majority never quiesces: stop every node first, so no
+	// retransmission is between its two counter updates when they are
+	// read.
+	for _, nd := range nodes {
+		nd.Stop()
+	}
 	for i, nd := range nodes {
 		sentFrames, _, _ := nd.FrameStats()
 		sentMsgs, _ := nd.MessageStats()

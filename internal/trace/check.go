@@ -16,6 +16,13 @@ type Violation struct {
 // Error renders the violation.
 func (v Violation) Error() string { return v.Property + ": " + v.Detail }
 
+// Missing is one obliged message a correct process neither delivered
+// nor adopted: an open validity or uniform-agreement obligation.
+type Missing struct {
+	Proc int
+	ID   wire.MsgID
+}
+
 // Report is the outcome of checking one run.
 type Report struct {
 	Violations []Violation
@@ -26,6 +33,18 @@ type Report struct {
 	FastDeliveries int
 	// TotalDeliveries counts all deliveries.
 	TotalDeliveries int
+	// Missing lists, when the eventual properties are checked, every
+	// obliged message a correct process neither delivered nor adopted,
+	// sorted by process, then by first appearance in the trace
+	// (broadcast order). A message is obliged when its broadcaster is
+	// correct or anybody delivered it; a faulty broadcaster's message
+	// nobody delivered may legally vanish. The validity and
+	// uniform-agreement violations are derived from it.
+	Missing []Missing
+	// Redelivered counts deliveries beyond the first of one id at one
+	// process. Adoption at join is a process's first delivery of an id,
+	// so delivering adopted history counts too.
+	Redelivered int
 }
 
 // OK reports whether no property was violated.
@@ -49,19 +68,16 @@ func (r *Report) add(property, format string, args ...any) {
 // Checker verifies a recorded run against the URB properties. n is the
 // system size; crashed[i] gives the run's ground-truth crash outcomes
 // (a process that never crashed in the run counts as correct, per the
-// paper's definition of correctness in a run).
+// paper's definition of correctness in a run). A caller that holds only
+// some processes to the eventual properties — one that left, or whose
+// join never completed — marks the others crashed.
 type Checker struct {
 	n       int
 	crashed []bool
 	// CheckConvergent enables the eventual properties (validity,
-	// agreement), which are only meaningful if the run was given enough
-	// time to converge.
+	// agreement) and Report.Missing, which are only meaningful if the
+	// run was given enough time to converge.
 	CheckConvergent bool
-	// Adopted[i], when non-nil, holds message ids process i adopted as
-	// already delivered when it joined mid-run (DESIGN.md §13). Adoption
-	// commits the joiner to never delivering these itself, so uniform
-	// agreement counts them as satisfied without a delivery event.
-	Adopted []map[wire.MsgID]bool
 }
 
 // NewChecker builds a checker for a run over n processes.
@@ -73,14 +89,15 @@ func NewChecker(n int, crashed []bool) *Checker {
 func (c *Checker) Check(events []Event) *Report {
 	rep := &Report{}
 
-	type deliveryKey struct {
+	type procID struct {
 		proc int
 		id   wire.MsgID
 	}
-	broadcastIDs := make(map[wire.MsgID]int) // id -> origin proc
-	broadcastAt := make(map[wire.MsgID]sim.Time)
-	deliveredBy := make(map[wire.MsgID]map[int]bool)
-	deliveryCount := make(map[deliveryKey]int)
+	broadcasts := make(map[wire.MsgID]Event)
+	var order []wire.MsgID // ids by first appearance: Report.Missing's order
+	deliverers := make(map[wire.MsgID]int)
+	deliveryCount := make(map[procID]int)
+	adopted := make(map[procID]bool)
 	crashedAt := make(map[int]sim.Time)
 	// Channel accounting: copies offered per (dst, encoded message) vs
 	// copies received — receives must never exceed surviving sends
@@ -93,40 +110,59 @@ func (c *Checker) Check(events []Event) *Report {
 	received := make(map[linkKey]int)
 	sawWire := false
 
+	// redelivered records a second holding of k.id at k.proc: a repeat
+	// delivery, or a delivery of adopted history.
+	redelivered := func(k procID) {
+		rep.Redelivered++
+		if n := deliveryCount[k]; n > 1 {
+			rep.add("uniform-integrity", "p%d delivered %v %d times", k.proc, k.id, n)
+		} else {
+			rep.add("uniform-integrity", "p%d delivered %v which it adopted at join", k.proc, k.id)
+		}
+	}
 	for _, e := range events {
 		switch e.Kind {
 		case KindBroadcast:
-			if prev, dup := broadcastIDs[e.ID]; dup {
+			if prev, dup := broadcasts[e.ID]; dup {
 				rep.add("tag-uniqueness",
 					"message %v broadcast twice (p%d then p%d): tag collision",
-					e.ID, prev, e.Proc)
+					e.ID, prev.Proc, e.Proc)
+			} else if deliverers[e.ID] == 0 {
+				order = append(order, e.ID)
 			}
-			broadcastIDs[e.ID] = e.Proc
-			broadcastAt[e.ID] = e.At
+			broadcasts[e.ID] = e
 			rep.Broadcast++
 		case KindDeliver:
 			rep.TotalDeliveries++
 			if e.Fast {
 				rep.FastDeliveries++
 			}
-			k := deliveryKey{proc: e.Proc, id: e.ID}
-			deliveryCount[k]++
-			if deliveryCount[k] > 1 {
-				rep.add("uniform-integrity",
-					"p%d delivered %v %d times", e.Proc, e.ID, deliveryCount[k])
+			k := procID{proc: e.Proc, id: e.ID}
+			b, known := broadcasts[e.ID]
+			if deliveryCount[k]++; deliveryCount[k] == 1 {
+				if deliverers[e.ID]++; deliverers[e.ID] == 1 && !known {
+					order = append(order, e.ID)
+				}
 			}
-			if _, known := broadcastIDs[e.ID]; !known {
+			if deliveryCount[k] > 1 || adopted[k] {
+				redelivered(k)
+			}
+			if !known {
 				rep.add("uniform-integrity",
 					"p%d delivered %v which was never URB-broadcast", e.Proc, e.ID)
-			}
-			if bt, ok := broadcastAt[e.ID]; ok && e.At < bt {
+			} else if e.At < b.At {
 				rep.add("causality", "p%d delivered %v at %d before its broadcast at %d",
-					e.Proc, e.ID, e.At, bt)
+					e.Proc, e.ID, e.At, b.At)
 			}
-			if deliveredBy[e.ID] == nil {
-				deliveredBy[e.ID] = make(map[int]bool)
+		case KindAdopt:
+			k := procID{proc: e.Proc, id: e.ID}
+			if adopted[k] {
+				break
 			}
-			deliveredBy[e.ID][e.Proc] = true
+			adopted[k] = true
+			if deliveryCount[k] > 0 {
+				redelivered(k)
+			}
 		case KindCrash:
 			crashedAt[e.Proc] = e.At
 		case KindSend:
@@ -158,36 +194,39 @@ func (c *Checker) Check(events []Event) *Report {
 		}
 	}
 
-	if c.CheckConvergent {
-		// Validity: a correct broadcaster delivers its own message.
-		for id, origin := range broadcastIDs {
-			if c.crashed[origin] {
-				continue
-			}
-			if !deliveredBy[id][origin] {
-				rep.add("validity", "correct broadcaster p%d never delivered its own %v",
-					origin, id)
+	if !c.CheckConvergent {
+		return rep
+	}
+	var obliged []wire.MsgID
+	for _, id := range order {
+		if b, known := broadcasts[id]; deliverers[id] > 0 || known && !c.crashed[b.Proc] {
+			obliged = append(obliged, id)
+		}
+	}
+	for p := 0; p < c.n; p++ {
+		if c.crashed[p] {
+			continue
+		}
+		for _, id := range obliged {
+			if k := (procID{proc: p, id: id}); deliveryCount[k] == 0 && !adopted[k] {
+				rep.Missing = append(rep.Missing, Missing{Proc: p, ID: id})
 			}
 		}
-		// Uniform agreement: if anyone delivered id, every correct
-		// process delivered id.
-		for id, procs := range deliveredBy {
-			if len(procs) == 0 {
-				continue
-			}
-			for p := 0; p < c.n; p++ {
-				if c.crashed[p] {
-					continue
-				}
-				if p < len(c.Adopted) && c.Adopted[p][id] {
-					continue // adopted as history at join: obligation met
-				}
-				if !procs[p] {
-					rep.add("uniform-agreement",
-						"%v delivered by %d process(es) but correct p%d never delivered it",
-						id, len(procs), p)
-				}
-			}
+	}
+	// Validity: a correct broadcaster delivers its own message.
+	for _, m := range rep.Missing {
+		if b, known := broadcasts[m.ID]; known && b.Proc == m.Proc {
+			rep.add("validity", "correct broadcaster p%d never delivered its own %v",
+				m.Proc, m.ID)
+		}
+	}
+	// Uniform agreement: if anyone delivered id, every correct process
+	// delivered (or adopted) id.
+	for _, m := range rep.Missing {
+		if by := deliverers[m.ID]; by > 0 {
+			rep.add("uniform-agreement",
+				"%v delivered by %d process(es) but correct p%d never delivered it",
+				m.ID, by, m.Proc)
 		}
 	}
 	return rep
@@ -196,9 +235,13 @@ func (c *Checker) Check(events []Event) *Report {
 // CheckResult is a convenience wrapper: run the checker against a
 // sim.Result (no wire events needed).
 func CheckResult(res sim.Result) *Report {
-	n := len(res.Deliveries)
-	c := NewChecker(n, res.Crashed)
-	c.Adopted = res.Adopted
+	return NewChecker(len(res.Deliveries), res.Crashed).Check(ResultEvents(res))
+}
+
+// ResultEvents converts a sim.Result into checker events: its
+// broadcasts, its deliveries, and the history each mid-run joiner
+// adopted (stamped with its join time).
+func ResultEvents(res sim.Result) []Event {
 	var events []Event
 	for _, b := range res.Broadcasts {
 		events = append(events, Event{At: b.At, Kind: KindBroadcast, Proc: b.Proc, ID: b.ID})
@@ -208,5 +251,20 @@ func CheckResult(res sim.Result) *Report {
 			events = append(events, Event{At: d.At, Kind: KindDeliver, Proc: p, ID: d.ID, Fast: d.Fast})
 		}
 	}
-	return c.Check(events)
+	return append(events, AdoptEvents(res)...)
+}
+
+// AdoptEvents lists the history res's mid-run joiners adopted, in
+// broadcast order. A sim.Observer never sees adoption, so a recorded
+// trace of a churn run needs these appended.
+func AdoptEvents(res sim.Result) []Event {
+	var events []Event
+	for p, ids := range res.Adopted {
+		for _, b := range res.Broadcasts {
+			if ids[b.ID] {
+				events = append(events, Event{At: res.JoinedAt[p], Kind: KindAdopt, Proc: p, ID: b.ID})
+			}
+		}
+	}
+	return events
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"anonurb/internal/ident"
 	"anonurb/internal/sim"
@@ -74,7 +75,7 @@ func Write(w io.Writer, n int, crashed []bool, events []Event) error {
 			Dropped: e.Dropped, Fast: e.Fast,
 		}
 		switch e.Kind {
-		case KindBroadcast, KindDeliver:
+		case KindBroadcast, KindDeliver, KindAdopt:
 			je.Body = e.ID.Bytes()
 			je.Tag = toJSONTag(e.ID.Tag)
 		case KindSend, KindReceive:
@@ -132,7 +133,7 @@ func Read(r io.Reader) (Header, []Event, error) {
 			Dropped: je.Dropped, Fast: je.Fast,
 		}
 		switch e.Kind {
-		case KindBroadcast, KindDeliver:
+		case KindBroadcast, KindDeliver, KindAdopt:
 			e.ID = wire.NewMsgID(fromJSONTag(je.Tag), je.Body)
 		case KindSend, KindReceive:
 			e.Msg = wire.Message{
@@ -155,20 +156,12 @@ func Read(r io.Reader) (Header, []Event, error) {
 }
 
 // WriteResult is a convenience: serialise a sim.Result (without wire
-// events) plus a recorder's events if given.
+// events) plus a recorder's events if given. Mid-run joiners' adopted
+// history is written either way.
 func WriteResult(w io.Writer, res sim.Result, rec *Recorder) error {
-	var events []Event
+	events := ResultEvents(res)
 	if rec != nil {
-		events = rec.Events()
-	} else {
-		for _, b := range res.Broadcasts {
-			events = append(events, Event{At: b.At, Kind: KindBroadcast, Proc: b.Proc, ID: b.ID})
-		}
-		for p, ds := range res.Deliveries {
-			for _, d := range ds {
-				events = append(events, Event{At: d.At, Kind: KindDeliver, Proc: p, ID: d.ID, Fast: d.Fast})
-			}
-		}
+		events = slices.Concat(rec.Events(), AdoptEvents(res))
 	}
 	return Write(w, len(res.Deliveries), res.Crashed, events)
 }

@@ -50,6 +50,8 @@ func Timeline(n int, events []Event, opt TimelineOptions) string {
 			fmt.Fprintf(&b, "t=%-8d %s D  deliver %s%s\n", e.At, lane, e.ID, fast)
 		case KindCrash:
 			fmt.Fprintf(&b, "t=%-8d %s X  crash\n", e.At, lane)
+		case KindAdopt:
+			fmt.Fprintf(&b, "t=%-8d %s A  adopt %s\n", e.At, lane, e.ID)
 		case KindSend:
 			verdict := "→"
 			if e.Dropped {

@@ -1,4 +1,4 @@
-// Package trace records simulator runs and checks them against the URB
+// Package trace records runs and checks them against the URB
 // specification.
 //
 // The checkers operate on ground truth the algorithms never see (who
@@ -6,6 +6,11 @@
 // protocol. Each check corresponds to one property from Section II of the
 // paper, plus channel sanity checks matching the fair lossy channel
 // definition and the quiescence property of Theorem 3.
+//
+// Checker is the repository's only URB referee (DESIGN.md §14): the
+// harness, the nemesis sim and live auditors and the benches turn their
+// records into events and read one Report. Live runs share no clock, so
+// their events carry At = 0 and the time-based rules never fire.
 //
 // A note on finite runs: Validity and Uniform Agreement are *eventual*
 // properties ("eventually delivers"); on a finite trace they are checked
@@ -32,6 +37,9 @@ const (
 	KindReceive
 	KindDeliver
 	KindCrash
+	// KindAdopt records that a mid-run joiner adopted a message as
+	// already delivered from its donor's snapshot (DESIGN.md §13).
+	KindAdopt
 )
 
 // String implements fmt.Stringer.
@@ -47,6 +55,8 @@ func (k Kind) String() string {
 		return "deliver"
 	case KindCrash:
 		return "crash"
+	case KindAdopt:
+		return "adopt"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -57,11 +67,11 @@ type Event struct {
 	At   sim.Time
 	Kind Kind
 	// Proc is the acting process (broadcaster, sender, receiver,
-	// deliverer, crasher).
+	// deliverer, crasher, adopter).
 	Proc int
 	// Dst is the destination for send events.
 	Dst int
-	// ID is the application message for broadcast/deliver events.
+	// ID is the application message for broadcast/deliver/adopt events.
 	ID wire.MsgID
 	// Msg is the wire message for send/receive events.
 	Msg wire.Message

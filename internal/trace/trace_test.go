@@ -322,3 +322,39 @@ func TestTimelineWideSystemCompactLanes(t *testing.T) {
 		t.Fatalf("compact lane label missing:\n%s", out)
 	}
 }
+
+func TestCheckerRedelivered(t *testing.T) {
+	m := id(1, "a")
+	bcast := Event{At: 1, Kind: KindBroadcast, Proc: 0, ID: m}
+	deliver := func(p int, at int64) Event { return Event{At: at, Kind: KindDeliver, Proc: p, ID: m} }
+	adopt := Event{At: 3, Kind: KindAdopt, Proc: 1, ID: m}
+	for _, tc := range []struct {
+		name        string
+		events      []Event
+		redelivered int
+	}{
+		{"once each", []Event{bcast, deliver(0, 2), deliver(1, 2)}, 0},
+		{"twice at one proc", []Event{bcast, deliver(0, 2), deliver(1, 2), deliver(1, 4)}, 1},
+		{"three times at one proc", []Event{bcast, deliver(0, 2), deliver(0, 3), deliver(0, 4), deliver(1, 4)}, 2},
+		{"adopted, never delivered", []Event{bcast, deliver(0, 2), adopt}, 0},
+		{"adopted then delivered", []Event{bcast, deliver(0, 2), adopt, deliver(1, 4)}, 1},
+		{"delivered then adopted", []Event{bcast, deliver(0, 2), deliver(1, 2), adopt}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := NewChecker(2, []bool{false, false}).Check(tc.events)
+			if rep.Redelivered != tc.redelivered {
+				t.Fatalf("redelivered %d, want %d", rep.Redelivered, tc.redelivered)
+			}
+			integrity := 0
+			for _, v := range rep.Violations {
+				if v.Property != "uniform-integrity" {
+					t.Fatalf("unexpected violation %v", v)
+				}
+				integrity++
+			}
+			if integrity != tc.redelivered || len(rep.Missing) != 0 {
+				t.Fatalf("violations %v, missing %v", rep.Violations, rep.Missing)
+			}
+		})
+	}
+}
