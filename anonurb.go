@@ -293,7 +293,8 @@ type (
 	// NodeOption configures a Node (WithTickEvery, WithSeed,
 	// WithObserver, WithInboxDepth).
 	NodeOption = node.Option
-	// Observer receives node events (send/receive/deliver/quiescence).
+	// Observer receives node events
+	// (broadcast/send/receive/deliver/quiescence).
 	Observer = node.Observer
 	// NodeMetrics is an Observer aggregating node events with the
 	// internal metrics toolkit.

@@ -46,7 +46,6 @@ import (
 	"anonurb/internal/store"
 	"anonurb/internal/trace"
 	"anonurb/internal/urb"
-	"anonurb/internal/wire"
 )
 
 func main() {
@@ -178,7 +177,6 @@ func explainDemo() int {
 func runExplainDemo() (ex obs.Explanation, ok bool) {
 	const n = 5
 	var procs []*urb.Majority
-	lifecycle := sim.NewTraceObserver(0)
 	res := sim.NewEngine(sim.Config{
 		N: n,
 		Factory: func(env sim.Env) urb.Process {
@@ -191,20 +189,13 @@ func runExplainDemo() (ex obs.Explanation, ok bool) {
 		MaxTime:    2_000,
 		CrashAt:    []sim.Time{sim.Never, sim.Never, 1, 1, 1},
 		Broadcasts: []sim.ScheduledBroadcast{{At: 5, Proc: 0, Body: []byte("stalled")}},
-		Observers:  []sim.Observer{lifecycle},
 	}).Run()
-	var id wire.MsgID
-	for _, e := range lifecycle.Events() {
-		if e.Kind == obs.EvBroadcast {
-			id = e.Msg
-		}
-	}
 	for _, ds := range res.Deliveries {
 		if len(ds) != 0 {
 			return ex, false // a partitioned majority must not deliver
 		}
 	}
-	ex = procs[0].Explain(id)
+	ex = procs[0].Explain(res.Broadcasts[0].ID)
 	return ex, ex.Known && ex.Stalled() && ex.Ackers > 0 && ex.Ackers < ex.Need
 }
 
@@ -250,7 +241,7 @@ func recordSelftest() (trace.Header, []trace.Event) {
 			{At: 5, Proc: 0, Body: []byte("selftest-a")},
 			{At: 9, Proc: 1, Body: []byte("selftest-b")},
 		},
-		Observers:        []sim.Observer{rec},
+		Observers:        []func(trace.Event){rec.Record},
 		ExpectDeliveries: 2,
 	}).Run()
 	return trace.Header{Version: 1, N: n, Crashed: res.Crashed}, rec.Events()

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"slices"
 	"strings"
 
 	"anonurb/internal/channel"
@@ -122,20 +121,20 @@ func main() {
 	}
 
 	var rec *trace.Recorder
-	var observers []sim.Observer
+	var observers []func(trace.Event)
 	if *traceOut != "" || *timeline || *timelineWire {
 		rec = trace.NewRecorder(trace.Options{Wire: *traceOut != "" || *timelineWire})
-		observers = []sim.Observer{rec}
+		observers = append(observers, rec.Record)
 	}
 	var schedRec *replay.Recorder
 	if *record != "" {
 		schedRec = replay.NewRecorder()
-		observers = append(observers, schedRec)
+		observers = append(observers, schedRec.Record)
 	}
 	var lifecycle *sim.TraceObserver
 	if *chromeOut != "" {
 		lifecycle = sim.NewTraceObserver(0)
-		observers = append(observers, lifecycle)
+		observers = append(observers, lifecycle.Record)
 	}
 
 	var wl workload.Broadcasts = workload.MultiWriter{
@@ -260,7 +259,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
 			os.Exit(2)
 		}
-		events := slices.Concat(rec.Events(), trace.AdoptEvents(out.Result))
+		events := rec.Events()
 		if err := trace.Write(f, *n, out.Result.Crashed, events); err != nil {
 			fmt.Fprintf(os.Stderr, "urbsim: %v\n", err)
 			os.Exit(2)

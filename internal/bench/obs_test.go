@@ -2,10 +2,12 @@ package bench
 
 import "testing"
 
-// TestTracedRunMatchesWireTraffic: the observability invariant at CI
-// scale — a traced run records lifecycle events but emits exactly the
-// same wire traffic as an untraced one (tracers observe steps, they
-// never produce them).
+// TestTracedRunMatchesWireTraffic: a traced live run records lifecycle
+// events, per message rather than per frame, and delivers what an
+// untraced one does. That tracing leaves the wire traffic itself
+// unchanged is checked deterministically, Step by Step, by
+// urb.TestTracedStepsBitIdentical: two live runs' frame counts drift
+// with host load.
 func TestTracedRunMatchesWireTraffic(t *testing.T) {
 	c, err := CompareObsOverhead(quickWorkload(AlgoMajority, NetMesh), 1)
 	if err != nil {
@@ -16,10 +18,6 @@ func TestTracedRunMatchesWireTraffic(t *testing.T) {
 	}
 	if c.Events == 0 {
 		t.Fatal("traced run recorded zero lifecycle events — the tracer is not wired")
-	}
-	if c.FramesRatio != 1.0 {
-		t.Fatalf("frames ratio %.4f != 1.0: tracing changed the wire traffic (on=%.2f off=%.2f frames/delivery)",
-			c.FramesRatio, c.On.SteadyFramesPerDelivery, c.Off.SteadyFramesPerDelivery)
 	}
 	// Lifecycle events are per message, never per frame: a traced run
 	// must record far fewer events than it sends wire messages.

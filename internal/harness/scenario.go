@@ -117,8 +117,9 @@ type Scenario struct {
 	// FullHorizon disables the early stop on all-delivered, so the run
 	// covers exactly MaxTime (time-series figures need aligned horizons).
 	FullHorizon bool
-	// Observers receive the run's events (trace recording).
-	Observers []sim.Observer
+	// Observers are the simulator hooks that receive the run's events
+	// (trace recording).
+	Observers []func(trace.Event)
 }
 
 // Outcome is a checked, measured run.
@@ -273,7 +274,7 @@ func analyze(s Scenario, oracle *fd.Oracle, res sim.Result) Outcome {
 		Issued:      len(res.Broadcasts),
 		QuiesceTime: -1,
 	}
-	o.Report = trace.CheckResult(res)
+	o.Report = trace.NewChecker(len(res.Deliveries), res.Crashed).Check(res.Events())
 	if res.Quiescent {
 		o.QuiesceTime = res.LastSend
 	}

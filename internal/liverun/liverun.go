@@ -129,26 +129,6 @@ type Cluster struct {
 	chaosShed []transport.ChaosStats
 }
 
-// observer adapts node events to the cluster's delivery callback.
-type observer struct {
-	c    *Cluster
-	proc int
-}
-
-func (o observer) OnSend(wire.Message, []byte) {}
-func (o observer) OnReceive(wire.Message)      {}
-func (o observer) OnQuiescence(time.Duration)  {}
-func (o observer) OnDeliver(d node.Delivery) {
-	if o.c.cfg.OnDeliver != nil {
-		o.c.cfg.OnDeliver(Delivery{
-			Proc:    o.proc,
-			ID:      d.ID,
-			Fast:    d.Fast,
-			Elapsed: time.Since(o.c.start),
-		})
-	}
-}
-
 // Start builds and launches a cluster.
 func Start(cfg Config) *Cluster {
 	if cfg.N < 1 {
@@ -274,7 +254,11 @@ func (c *Cluster) nodeOptions(proc int) []node.Option {
 	opts := []node.Option{
 		node.WithTickEvery(time.Duration(c.cfg.TickEvery) * c.cfg.Unit),
 		node.WithSeed(xrand.HashStream(c.cfg.Seed, uint64(proc))),
-		node.WithObserver(observer{c: c, proc: proc}),
+	}
+	if c.cfg.OnDeliver != nil {
+		opts = append(opts, node.WithObserver(node.Hooks{Deliver: func(d node.Delivery) {
+			c.cfg.OnDeliver(Delivery{Proc: proc, ID: d.ID, Fast: d.Fast, Elapsed: time.Since(c.start)})
+		}}))
 	}
 	if tr := c.tracer(proc); tr != nil {
 		opts = append(opts, node.WithTracer(tr))

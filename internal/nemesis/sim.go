@@ -151,7 +151,7 @@ func auditSim(c Campaign, cfg sim.Config, e *sim.Engine, res sim.Result, heal in
 			a.Survivors++
 		}
 	}
-	rep := trace.NewChecker(cfg.N, notHeld).Check(trace.ResultEvents(res))
+	rep := trace.NewChecker(cfg.N, notHeld).Check(res.Events())
 	a.Redelivered = rep.Redelivered
 
 	born := make(map[wire.MsgID]int64, len(res.Broadcasts))

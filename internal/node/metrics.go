@@ -13,9 +13,9 @@ import (
 // internal/metrics toolkit: message/byte counters per wire kind, a
 // per-message encoded-size histogram, and a delivery latency histogram.
 // Latency is measured per message, from the moment the local node
-// broadcast it (the BroadcastObserver extension) to each delivery of it;
-// messages this collector never saw broadcast — deliveries of remote
-// broadcasts when the collector is not shared cluster-wide — fall back
+// broadcast it (OnBroadcast) to each delivery of it; messages this
+// collector never saw broadcast — deliveries of remote broadcasts when
+// the collector is not shared cluster-wide — fall back
 // to measuring from the collector's creation, the pre-tracing behavior,
 // suitable for single-shot experiments where one broadcast starts the
 // clock.
@@ -54,10 +54,7 @@ type Metrics struct {
 	deliverLat *metrics.Histogram // ms from broadcast (fallback: creation) to delivery
 }
 
-var (
-	_ Observer          = (*Metrics)(nil)
-	_ BroadcastObserver = (*Metrics)(nil)
-)
+var _ Observer = (*Metrics)(nil)
 
 // NewMetrics returns an empty collector; the fallback delivery latency
 // clock starts now.
@@ -73,7 +70,7 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// OnBroadcast implements BroadcastObserver: it pins the message's
+// OnBroadcast implements Observer: it pins the message's
 // latency epoch, replacing the creation-time fallback for this MsgID.
 func (c *Metrics) OnBroadcast(id wire.MsgID, at time.Time) {
 	c.mu.Lock()

@@ -67,6 +67,10 @@ func (d Delivery) Body() []byte { return d.ID.Bytes() }
 // node's goroutine: keep them fast, and synchronise externally if one
 // Observer is shared between nodes.
 type Observer interface {
+	// OnBroadcast fires for every local URB_broadcast with the identity
+	// the algorithm assigned and the submission time — the per-message
+	// timestamp Metrics uses to measure true broadcast→deliver latency.
+	OnBroadcast(id wire.MsgID, at time.Time)
 	// OnSend fires once per wire message handed to the transport, with
 	// that message's encoded bytes. When batching is enabled several
 	// messages may travel in one transport frame; encoded is then the
@@ -88,6 +92,52 @@ type Observer interface {
 	// since the node's last send. The event re-arms after the next send,
 	// so a quiescent algorithm (Algorithm 2) fires it once per silence.
 	OnQuiescence(idle time.Duration)
+}
+
+// Hooks is an Observer made of callbacks, one per event; a nil field
+// ignores its event, so a caller that watches only some events writes
+// only those.
+type Hooks struct {
+	Broadcast  func(id wire.MsgID, at time.Time)
+	Send       func(m wire.Message, encoded []byte)
+	Receive    func(m wire.Message)
+	Deliver    func(d Delivery)
+	Quiescence func(idle time.Duration)
+}
+
+// OnBroadcast implements Observer.
+func (h Hooks) OnBroadcast(id wire.MsgID, at time.Time) {
+	if h.Broadcast != nil {
+		h.Broadcast(id, at)
+	}
+}
+
+// OnSend implements Observer.
+func (h Hooks) OnSend(m wire.Message, encoded []byte) {
+	if h.Send != nil {
+		h.Send(m, encoded)
+	}
+}
+
+// OnReceive implements Observer.
+func (h Hooks) OnReceive(m wire.Message) {
+	if h.Receive != nil {
+		h.Receive(m)
+	}
+}
+
+// OnDeliver implements Observer.
+func (h Hooks) OnDeliver(d Delivery) {
+	if h.Deliver != nil {
+		h.Deliver(d)
+	}
+}
+
+// OnQuiescence implements Observer.
+func (h Hooks) OnQuiescence(idle time.Duration) {
+	if h.Quiescence != nil {
+		h.Quiescence(idle)
+	}
 }
 
 // node run states.
@@ -247,15 +297,6 @@ func WithTracer(t *obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }
 
-// BroadcastObserver is an optional extension of Observer: when the
-// installed observer implements it, OnBroadcast fires on the node
-// goroutine for every local URB_broadcast with the identity the
-// algorithm assigned and the submission time — the per-message
-// timestamp Metrics uses to measure true broadcast→deliver latency.
-type BroadcastObserver interface {
-	OnBroadcast(id wire.MsgID, at time.Time)
-}
-
 // Node hosts one urb.Process on a Transport.
 type Node struct {
 	proc urb.Process
@@ -265,10 +306,6 @@ type Node struct {
 	// admission is the admit stage wrapped around the raw transport
 	// (nil without WithAdmission); tr is then the stage itself.
 	admission *admit.Transport
-
-	// bcastObs is the observer's optional OnBroadcast extension, cached
-	// at construction (nil when the observer does not implement it).
-	bcastObs BroadcastObserver
 
 	flowMu sync.Mutex
 	// flowDeliveries holds per-broadcaster-flow delivery counts, keyed
@@ -392,13 +429,11 @@ func New(proc urb.Process, tr transport.Transport, opts ...Option) *Node {
 			panic("node: store already holds durable state; restart with node.Recover, not New")
 		}
 	}
-	bo, _ := o.observer.(BroadcastObserver)
 	return &Node{
 		proc:           proc,
 		tr:             tr,
 		opt:            o,
 		admission:      stage,
-		bcastObs:       bo,
 		flowDeliveries: make(map[uint64]uint64),
 		deliveries:     make(chan Delivery, o.inboxDepth),
 		actions:        make(chan func(urb.Process), 64),
@@ -451,8 +486,8 @@ func (n *Node) Broadcast(body []byte) (wire.MsgID, error) {
 	if err := n.call(func(p urb.Process) func() {
 		var s urb.Step
 		id, s = p.Broadcast(body)
-		if n.bcastObs != nil {
-			n.bcastObs.OnBroadcast(id, time.Now())
+		if n.opt.observer != nil {
+			n.opt.observer.OnBroadcast(id, time.Now())
 		}
 		return func() { n.absorb(s) }
 	}); err != nil {

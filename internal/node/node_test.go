@@ -171,12 +171,18 @@ func TestNodeContextCancelStops(t *testing.T) {
 // recorder is a test Observer counting events.
 type recorder struct {
 	mu          sync.Mutex
+	broadcasts  int
 	sends       int
 	receives    int
 	delivers    int
 	quiescences int
 }
 
+func (r *recorder) OnBroadcast(wire.MsgID, time.Time) {
+	r.mu.Lock()
+	r.broadcasts++
+	r.mu.Unlock()
+}
 func (r *recorder) OnSend(wire.Message, []byte) { r.mu.Lock(); r.sends++; r.mu.Unlock() }
 func (r *recorder) OnReceive(wire.Message)      { r.mu.Lock(); r.receives++; r.mu.Unlock() }
 func (r *recorder) OnDeliver(node.Delivery)     { r.mu.Lock(); r.delivers++; r.mu.Unlock() }
@@ -252,6 +258,16 @@ func TestNodeObserverAndQuiescence(t *testing.T) {
 		if sends == 0 || receives == 0 {
 			t.Fatalf("node %d observer missed traffic: sends=%d receives=%d", i, sends, receives)
 		}
+		r.mu.Lock()
+		broadcasts := r.broadcasts
+		r.mu.Unlock()
+		want := 0
+		if i == 0 {
+			want = 1 // only node 0 broadcast
+		}
+		if broadcasts != want {
+			t.Fatalf("node %d observed %d broadcasts, want %d", i, broadcasts, want)
+		}
 	}
 	snap := metrics.Snapshot()
 	if snap.SentMsgs == 0 || snap.RecvMsgs == 0 || snap.Deliveries != uint64(n) ||
@@ -266,6 +282,11 @@ func TestNodeObserverAndQuiescence(t *testing.T) {
 // multiObserver fans events out to several observers.
 type multiObserver []node.Observer
 
+func (m multiObserver) OnBroadcast(id wire.MsgID, at time.Time) {
+	for _, o := range m {
+		o.OnBroadcast(id, at)
+	}
+}
 func (m multiObserver) OnSend(msg wire.Message, frame []byte) {
 	for _, o := range m {
 		o.OnSend(msg, frame)

@@ -140,7 +140,7 @@ func TestBestEffortLosesAgreementUnderLoss(t *testing.T) {
 	if got == 0 || got == n {
 		t.Fatalf("seed should produce partial delivery for the demo, got %d/%d", got, n)
 	}
-	rep := trace.CheckResult(res)
+	rep := trace.NewChecker(len(res.Deliveries), res.Crashed).Check(res.Events())
 	agreementBroken := false
 	for _, v := range rep.Violations {
 		if v.Property == "uniform-agreement" {
@@ -165,7 +165,7 @@ func TestEagerRBConvergesOnReliableChannels(t *testing.T) {
 		Broadcasts:       []sim.ScheduledBroadcast{{At: 5, Proc: 0, Body: []byte("m")}},
 		ExpectDeliveries: 1,
 	}).Run()
-	rep := trace.CheckResult(res)
+	rep := trace.NewChecker(len(res.Deliveries), res.Crashed).Check(res.Events())
 	if err := rep.Err(); err != nil {
 		t.Fatalf("eager RB on reliable channels must be clean: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestIDedConvergesUnderLossAndCrashes(t *testing.T) {
 		Broadcasts:       []sim.ScheduledBroadcast{{At: 5, Proc: 0, Body: []byte("m")}},
 		ExpectDeliveries: 1,
 	}).Run()
-	rep := trace.CheckResult(res)
+	rep := trace.NewChecker(len(res.Deliveries), res.Crashed).Check(res.Events())
 	if err := rep.Err(); err != nil {
 		t.Fatalf("IDed URB run not clean: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestAnonymousRBCorrectAgreementUnderLoss(t *testing.T) {
 			t.Fatalf("p%d delivered %d", i, len(ds))
 		}
 	}
-	if err := trace.CheckResult(res).Err(); err != nil {
+	if err := trace.NewChecker(len(res.Deliveries), res.Crashed).Check(res.Events()).Err(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,16 +4,14 @@ import (
 	"sync"
 
 	"anonurb/internal/sim"
-	"anonurb/internal/urb"
-	"anonurb/internal/wire"
+	"anonurb/internal/trace"
 )
 
-// Recorder captures a run's broadcast schedule. It implements
-// sim.Observer, so plugging it into a simulator scenario (or a harness
-// Observers list) records every URB_broadcast the run executes; live
-// drivers that call node.Broadcast themselves record through Observe
-// instead (the live node layer has no broadcast observer — the caller
-// is the broadcaster, so the caller records).
+// Recorder captures a run's broadcast schedule. Its Record method is a
+// simulator hook, so plugging it into a simulator scenario (or a
+// harness Observers list) records every URB_broadcast the run
+// executes; live drivers record through Observe instead, since the
+// caller of node.Broadcast is the broadcaster and holds the body.
 //
 // A Recorder is safe for concurrent use: live clusters broadcast from
 // many goroutines.
@@ -21,8 +19,6 @@ type Recorder struct {
 	mu      sync.Mutex
 	entries []Entry
 }
-
-var _ sim.Observer = (*Recorder)(nil)
 
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
@@ -41,22 +37,13 @@ func (r *Recorder) Observe(at sim.Time, proc int, body []byte) {
 	r.mu.Unlock()
 }
 
-// OnBroadcast implements sim.Observer.
-func (r *Recorder) OnBroadcast(t sim.Time, proc int, id wire.MsgID) {
-	r.Observe(t, proc, []byte(id.Body))
+// Record is the simulator hook (sim.Config.Observers): it records
+// broadcast events and ignores the rest.
+func (r *Recorder) Record(e trace.Event) {
+	if e.Kind == trace.KindBroadcast {
+		r.Observe(e.At, e.Proc, []byte(e.ID.Body))
+	}
 }
-
-// OnSend implements sim.Observer (no-op; wire traffic is not schedule).
-func (r *Recorder) OnSend(sim.Time, int, int, wire.Message, bool, sim.Time) {}
-
-// OnReceive implements sim.Observer (no-op).
-func (r *Recorder) OnReceive(sim.Time, int, wire.Message) {}
-
-// OnDeliver implements sim.Observer (no-op).
-func (r *Recorder) OnDeliver(sim.Time, int, urb.Delivery) {}
-
-// OnCrash implements sim.Observer (no-op).
-func (r *Recorder) OnCrash(sim.Time, int) {}
 
 // Len reports how many broadcasts have been recorded.
 func (r *Recorder) Len() int {

@@ -10,6 +10,7 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/harness"
 	"anonurb/internal/sim"
+	"anonurb/internal/trace"
 	"anonurb/internal/workload"
 	"anonurb/internal/xrand"
 )
@@ -17,9 +18,9 @@ import (
 // runScenario executes one simulator scenario, recording its broadcast
 // schedule when rec is non-nil.
 func runScenario(wl workload.Broadcasts, rec *Recorder, seed uint64) harness.Outcome {
-	var obs []sim.Observer
+	var obs []func(trace.Event)
 	if rec != nil {
-		obs = append(obs, rec)
+		obs = append(obs, rec.Record)
 	}
 	return harness.Run(harness.Scenario{
 		Name:          "replay-test",

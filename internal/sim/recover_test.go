@@ -6,6 +6,7 @@ import (
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
 	"anonurb/internal/store"
+	"anonurb/internal/trace"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 )
@@ -160,13 +161,20 @@ func testSimCrashRecoverQuiescent(t *testing.T, cfg urb.Config) {
 	}
 }
 
-// TestSimRecoverObserver: the optional observer extension fires exactly
-// once per recovery, at the scheduled time.
+// TestSimRecoverObserver: the hook sees exactly one recover event per
+// recovery, at the scheduled time.
 func TestSimRecoverObserver(t *testing.T) {
 	const n = 3
 	stores := make([]store.Store, n)
 	stores[1] = store.NewMem()
-	obs := &recObserver{}
+	var recovered []int
+	var at []Time
+	record := func(e trace.Event) {
+		if e.Kind == trace.KindRecover {
+			recovered = append(recovered, e.Proc)
+			at = append(at, e.At)
+		}
+	}
 	NewEngine(Config{
 		N: n,
 		Factory: func(env Env) urb.Process {
@@ -181,28 +189,12 @@ func TestSimRecoverObserver(t *testing.T) {
 		Broadcasts: []ScheduledBroadcast{
 			{At: 5, Proc: 0, Body: []byte("x")},
 		},
-		Observers: []Observer{obs},
+		Observers: []func(trace.Event){record},
 	}).Run()
-	if len(obs.recovered) != 1 || obs.recovered[0] != 1 {
-		t.Fatalf("OnRecover fired for %v, want [1]", obs.recovered)
+	if len(recovered) != 1 || recovered[0] != 1 {
+		t.Fatalf("recover events for %v, want [1]", recovered)
 	}
-	if obs.at[0] != 200 {
-		t.Fatalf("OnRecover at t=%d, want 200", obs.at[0])
+	if at[0] != 200 {
+		t.Fatalf("recover event at t=%d, want 200", at[0])
 	}
-}
-
-// recObserver records recovery events (and ignores everything else).
-type recObserver struct {
-	recovered []int
-	at        []Time
-}
-
-func (o *recObserver) OnBroadcast(Time, int, wire.MsgID)               {}
-func (o *recObserver) OnSend(Time, int, int, wire.Message, bool, Time) {}
-func (o *recObserver) OnReceive(Time, int, wire.Message)               {}
-func (o *recObserver) OnDeliver(Time, int, urb.Delivery)               {}
-func (o *recObserver) OnCrash(Time, int)                               {}
-func (o *recObserver) OnRecover(t Time, proc int) {
-	o.recovered = append(o.recovered, proc)
-	o.at = append(o.at, t)
 }

@@ -35,6 +35,7 @@ import (
 	"anonurb/internal/obs"
 	"anonurb/internal/snapxfer"
 	"anonurb/internal/store"
+	"anonurb/internal/trace"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 	"anonurb/internal/xrand"
@@ -69,40 +70,6 @@ type ScheduledBroadcast struct {
 	At   Time
 	Proc int
 	Body []byte
-}
-
-// Observer receives run events; the trace recorder and metrics collectors
-// implement it. All callbacks fire synchronously inside the event loop.
-type Observer interface {
-	// OnBroadcast fires when a process executes URB_broadcast.
-	OnBroadcast(t Time, proc int, id wire.MsgID)
-	// OnSend fires once per copy offered to a link. arriveAt is
-	// meaningful only when dropped is false.
-	OnSend(t Time, src, dst int, m wire.Message, dropped bool, arriveAt Time)
-	// OnReceive fires when a copy is handed to a live process.
-	OnReceive(t Time, dst int, m wire.Message)
-	// OnDeliver fires on each URB-delivery.
-	OnDeliver(t Time, proc int, d urb.Delivery)
-	// OnCrash fires when a process crashes.
-	OnCrash(t Time, proc int)
-}
-
-// RecoverObserver is the optional extension observers implement to see
-// crash-recovery events (kept separate so existing Observer
-// implementations stay source-compatible).
-type RecoverObserver interface {
-	// OnRecover fires when a crashed process restarts from its store.
-	OnRecover(t Time, proc int)
-}
-
-// JoinObserver is the optional extension observers implement to see
-// membership-churn events.
-type JoinObserver interface {
-	// OnJoin fires when a joining process completes its snapshot
-	// transfer and goes live; bytes is the container size it pulled.
-	OnJoin(t Time, proc int, bytes int)
-	// OnLeave fires when a process leaves the cluster for good.
-	OnLeave(t Time, proc int)
 }
 
 // Config fully describes a run.
@@ -179,8 +146,14 @@ type Config struct {
 	// partitions — are still ahead of it, even if the cluster is
 	// momentarily consistent.
 	NoEarlyStopBefore Time
-	// Observers receive run events.
-	Observers []Observer
+	// Observers are hooks that receive every run event, synchronously
+	// inside the event loop and in event order: broadcasts, one send per
+	// copy offered to a link (Dropped when the copy is lost), receives
+	// of copies handed to a live process's algorithm, deliveries,
+	// crashes, recoveries, joins with the history each joiner adopted,
+	// and leaves. A torn-store recovery retracts deliveries from the
+	// Result that the hooks have already seen.
+	Observers []func(trace.Event)
 	// SampleEvery, when > 0, snapshots per-process stats periodically
 	// into Result.Samples (experiments F1/F5).
 	SampleEvery Time
@@ -300,6 +273,29 @@ type Result struct {
 	ProcStats []urb.Stats
 	// Samples is the periodic time series (empty unless SampleEvery>0).
 	Samples []Sample
+}
+
+// Events lists the run's ledger as checker events: its broadcasts, its
+// deliveries, and the history each mid-run joiner adopted (in
+// broadcast order, at its join time).
+func (r Result) Events() []trace.Event {
+	var events []trace.Event
+	for _, b := range r.Broadcasts {
+		events = append(events, trace.Event{At: b.At, Kind: trace.KindBroadcast, Proc: b.Proc, ID: b.ID})
+	}
+	for p, ds := range r.Deliveries {
+		for _, d := range ds {
+			events = append(events, trace.Event{At: d.At, Kind: trace.KindDeliver, Proc: p, ID: d.ID, Fast: d.Fast})
+		}
+	}
+	for p, ids := range r.Adopted {
+		for _, b := range r.Broadcasts {
+			if ids[b.ID] {
+				events = append(events, trace.Event{At: r.JoinedAt[p], Kind: trace.KindAdopt, Proc: p, ID: b.ID})
+			}
+		}
+	}
+	return events
 }
 
 // Engine executes one run.
@@ -561,18 +557,14 @@ func (e *Engine) broadcastCopies(src int, m wire.Message) {
 	size := m.EncodedSize()
 	for dst := 0; dst < e.cfg.N; dst++ {
 		v := e.net.Send(e.now, src, dst, size)
-		arrive := Time(0)
 		if !v.Drop {
 			d := v.Delay
 			if d < 1 {
 				d = 1
 			}
-			arrive = e.now + d
-			e.push(&event{at: arrive, kind: evReceive, proc: dst, msg: m})
+			e.push(&event{at: e.now + d, kind: evReceive, proc: dst, msg: m})
 		}
-		for _, o := range e.cfg.Observers {
-			o.OnSend(e.now, src, dst, m, v.Drop, arrive)
-		}
+		e.emit(trace.Event{At: e.now, Kind: trace.KindSend, Proc: src, Dst: dst, Msg: m, Dropped: v.Drop})
 	}
 	e.result.LastSend = e.now
 }
@@ -591,7 +583,6 @@ func (e *Engine) broadcastFrames(src int, m wire.Message) {
 	for dst := 0; dst < e.cfg.N; dst++ {
 		copies := e.net.SendFrame(e.now, src, dst, frame)
 		delivered := false
-		arrive := Time(0)
 		for _, c := range copies {
 			if !c.SameFrame(frame) {
 				continue // receiver decode-reject: the copy is lost
@@ -600,16 +591,10 @@ func (e *Engine) broadcastFrames(src int, m wire.Message) {
 			if d < 1 {
 				d = 1
 			}
-			at := e.now + d
-			if !delivered || at < arrive {
-				arrive = at
-			}
 			delivered = true
-			e.push(&event{at: at, kind: evReceive, proc: dst, msg: m})
+			e.push(&event{at: e.now + d, kind: evReceive, proc: dst, msg: m})
 		}
-		for _, o := range e.cfg.Observers {
-			o.OnSend(e.now, src, dst, m, !delivered, arrive)
-		}
+		e.emit(trace.Event{At: e.now, Kind: trace.KindSend, Proc: src, Dst: dst, Msg: m, Dropped: !delivered})
 	}
 	e.result.LastSend = e.now
 }
@@ -641,9 +626,7 @@ func (e *Engine) absorb(proc int, s urb.Step) {
 		e.delivered[proc]++
 		e.deliveredSomewhere[d.ID] = true
 		e.deliveredAt[proc][d.ID] = true
-		for _, o := range e.cfg.Observers {
-			o.OnDeliver(e.now, proc, d)
-		}
+		e.emit(trace.Event{At: e.now, Kind: trace.KindDeliver, Proc: proc, ID: d.ID, Fast: d.Fast})
 	}
 	// Crash-after-delivery adversary: the crash lands between the
 	// delivery and any further protocol action, which is exactly the
@@ -665,8 +648,13 @@ func (e *Engine) doCrash(proc int) {
 	}
 	e.crash[proc] = true
 	e.result.Crashed[proc] = true
+	e.emit(trace.Event{At: e.now, Kind: trace.KindCrash, Proc: proc})
+}
+
+// emit hands one run event to every hook.
+func (e *Engine) emit(ev trace.Event) {
 	for _, o := range e.cfg.Observers {
-		o.OnCrash(e.now, proc)
+		o(ev)
 	}
 }
 
@@ -762,9 +750,7 @@ func (e *Engine) Run() Result {
 			if carriesMsg(ev.msg) {
 				e.aliveTouched[ev.msg.ID()] = true
 			}
-			for _, o := range e.cfg.Observers {
-				o.OnReceive(e.now, ev.proc, ev.msg)
-			}
+			e.emit(trace.Event{At: e.now, Kind: trace.KindReceive, Proc: ev.proc, Msg: ev.msg})
 			e.absorb(ev.proc, e.procs[ev.proc].Receive(ev.msg))
 		case evTick:
 			if e.crash[ev.proc] || !e.present[ev.proc] {
@@ -791,9 +777,7 @@ func (e *Engine) Run() Result {
 			e.result.Broadcasts = append(e.result.Broadcasts,
 				BroadcastAt{ID: id, Proc: ev.proc, At: e.now})
 			e.msgOrigin[id] = ev.proc
-			for _, o := range e.cfg.Observers {
-				o.OnBroadcast(e.now, ev.proc, id)
-			}
+			e.emit(trace.Event{At: e.now, Kind: trace.KindBroadcast, Proc: ev.proc, ID: id})
 			e.absorb(ev.proc, s)
 		case evSample:
 			e.takeSample()
@@ -929,11 +913,7 @@ func (e *Engine) doRecover(proc int) {
 	e.crash[proc] = false
 	e.result.Crashed[proc] = false
 	e.result.Recovered[proc] = true
-	for _, o := range e.cfg.Observers {
-		if ro, ok := o.(RecoverObserver); ok {
-			ro.OnRecover(e.now, proc)
-		}
-	}
+	e.emit(trace.Event{At: e.now, Kind: trace.KindRecover, Proc: proc})
 	// Resume the tick chain the crash cut (next period, not immediately:
 	// a restart takes at least a beat).
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evTick, proc: proc})
@@ -1076,11 +1056,12 @@ func (e *Engine) finishJoin(proc int) {
 			panic(fmt.Sprintf("sim: proc %d join checkpoint: %v", proc, err))
 		}
 	}
-	for _, o := range e.cfg.Observers {
-		if jo, ok := o.(JoinObserver); ok {
-			jo.OnJoin(e.now, proc, len(container))
+	for _, b := range e.result.Broadcasts {
+		if e.result.Adopted[proc][b.ID] {
+			e.emit(trace.Event{At: e.now, Kind: trace.KindAdopt, Proc: proc, ID: b.ID})
 		}
 	}
+	e.emit(trace.Event{At: e.now, Kind: trace.KindJoin, Proc: proc, Bytes: len(container)})
 	e.push(&event{at: e.now + e.cfg.TickEvery, kind: evTick, proc: proc})
 }
 
@@ -1093,11 +1074,7 @@ func (e *Engine) doLeave(proc int) {
 	}
 	e.doCrash(proc)
 	e.result.Left[proc] = true
-	for _, o := range e.cfg.Observers {
-		if jo, ok := o.(JoinObserver); ok {
-			jo.OnLeave(e.now, proc)
-		}
-	}
+	e.emit(trace.Event{At: e.now, Kind: trace.KindLeave, Proc: proc})
 }
 
 func (e *Engine) takeSample() {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anonurb/internal/channel"
+	"anonurb/internal/trace"
 	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 )
@@ -78,31 +79,21 @@ func TestEngineObligationSurvivesSenderCrashWhenReceived(t *testing.T) {
 	}
 }
 
-// firstSendObserver records when each process first offers a copy.
-type firstSendObserver struct {
-	firstSend map[int]Time
-}
-
-func (o *firstSendObserver) OnBroadcast(Time, int, wire.MsgID) {}
-func (o *firstSendObserver) OnReceive(Time, int, wire.Message) {}
-func (o *firstSendObserver) OnDeliver(Time, int, urb.Delivery) {}
-func (o *firstSendObserver) OnCrash(Time, int)                 {}
-func (o *firstSendObserver) OnSend(t Time, src, _ int, m wire.Message, _ bool, _ Time) {
-	// Only MSG sends mark a Task-1 tick; ACK sends are reactive and
-	// cluster around message arrivals.
-	if m.Kind != wire.KindMsg {
-		return
-	}
-	if _, ok := o.firstSend[src]; !ok {
-		o.firstSend[src] = t
-	}
-}
-
 func TestEngineTickPhasesDiffer(t *testing.T) {
 	// Processes must not tick in lockstep: with n=8 the initial tick
 	// phases (≡ first sends, given an immediate broadcast each) should
 	// spread over several distinct times.
-	obs := &firstSendObserver{firstSend: map[int]Time{}}
+	firstSend := map[int]Time{}
+	record := func(e trace.Event) {
+		// Only MSG sends mark a Task-1 tick; ACK sends are reactive and
+		// cluster around message arrivals.
+		if e.Kind != trace.KindSend || e.Msg.Kind != wire.KindMsg {
+			return
+		}
+		if _, ok := firstSend[e.Proc]; !ok {
+			firstSend[e.Proc] = e.At
+		}
+	}
 	bcasts := make([]ScheduledBroadcast, 8)
 	for i := range bcasts {
 		bcasts[i] = ScheduledBroadcast{At: 0, Proc: i, Body: []byte(string(rune('a' + i)))}
@@ -114,14 +105,14 @@ func TestEngineTickPhasesDiffer(t *testing.T) {
 		Seed:       24,
 		MaxTime:    100,
 		Broadcasts: bcasts,
-		Observers:  []Observer{obs},
+		Observers:  []func(trace.Event){record},
 	}).Run()
 	distinct := map[Time]bool{}
-	for _, at := range obs.firstSend {
+	for _, at := range firstSend {
 		distinct[at] = true
 	}
 	if len(distinct) < 3 {
-		t.Fatalf("tick phases look lockstep: %v", obs.firstSend)
+		t.Fatalf("tick phases look lockstep: %v", firstSend)
 	}
 }
 

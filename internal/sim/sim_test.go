@@ -5,8 +5,8 @@ import (
 
 	"anonurb/internal/channel"
 	"anonurb/internal/fd"
+	"anonurb/internal/trace"
 	"anonurb/internal/urb"
-	"anonurb/internal/wire"
 )
 
 // majorityFactory builds Algorithm 1 processes.
@@ -300,25 +300,29 @@ func TestEngineSingleProcess(t *testing.T) {
 	}
 }
 
-// countingObserver checks the Observer plumbing.
-type countingObserver struct {
-	broadcasts, sends, drops, receives, delivers, crashes int
-}
-
-func (c *countingObserver) OnBroadcast(Time, int, wire.MsgID) { c.broadcasts++ }
-func (c *countingObserver) OnSend(_ Time, _, _ int, _ wire.Message, dropped bool, _ Time) {
-	c.sends++
-	if dropped {
-		c.drops++
-	}
-}
-func (c *countingObserver) OnReceive(Time, int, wire.Message) { c.receives++ }
-func (c *countingObserver) OnDeliver(Time, int, urb.Delivery) { c.delivers++ }
-func (c *countingObserver) OnCrash(Time, int)                 { c.crashes++ }
-
 func TestEngineObserverPlumbing(t *testing.T) {
 	const n = 3
-	obs := &countingObserver{}
+	// obs counts the hook's events by kind.
+	var obs struct {
+		broadcasts, sends, drops, receives, delivers, crashes int
+	}
+	count := func(e trace.Event) {
+		switch e.Kind {
+		case trace.KindBroadcast:
+			obs.broadcasts++
+		case trace.KindSend:
+			obs.sends++
+			if e.Dropped {
+				obs.drops++
+			}
+		case trace.KindReceive:
+			obs.receives++
+		case trace.KindDeliver:
+			obs.delivers++
+		case trace.KindCrash:
+			obs.crashes++
+		}
+	}
 	res := NewEngine(Config{
 		N:                n,
 		Factory:          majorityFactory(n, urb.Config{}),
@@ -327,7 +331,7 @@ func TestEngineObserverPlumbing(t *testing.T) {
 		MaxTime:          5000,
 		CrashAt:          []Time{Never, Never, 100},
 		Broadcasts:       []ScheduledBroadcast{{At: 2, Proc: 0, Body: []byte("watch")}},
-		Observers:        []Observer{obs},
+		Observers:        []func(trace.Event){count},
 		ExpectDeliveries: 1,
 	}).Run()
 	if obs.broadcasts != 1 {

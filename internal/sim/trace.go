@@ -2,21 +2,21 @@ package sim
 
 import (
 	"anonurb/internal/obs"
-	"anonurb/internal/urb"
+	"anonurb/internal/trace"
 	"anonurb/internal/wire"
 )
 
-// TraceObserver adapts the simulator's Observer stream into an
-// obs.Tracer: one merged, virtually-timestamped lifecycle trace for the
-// whole run (DESIGN.md §14). Virtual time stands in for the tracer's
-// clock — the adapter never reads wall time, so recording a trace keeps
-// the run deterministic: the same seed produces byte-identical traces.
+// TraceObserver turns the simulator's event stream into an obs.Tracer:
+// one merged, virtually-timestamped lifecycle trace for the whole run
+// (DESIGN.md §14). Virtual time stands in for the tracer's clock — the
+// exporter never reads wall time, so recording a trace keeps the run
+// deterministic: the same seed produces byte-identical traces.
 //
-// OnSend fires once per copy per link; recording every copy of every
-// retransmission would bury the lifecycle signal, so the adapter records
-// a FIRST_SEND per (process, message) for MSG kinds and drops the rest.
-// Receptions and deliveries are recorded in full (the ring bounds
-// memory, not the run).
+// The engine emits a send event per copy per link; recording every copy
+// of every retransmission would bury the lifecycle signal, so Record
+// keeps a FIRST_SEND per (process, message) for MSG kinds and drops
+// the rest. Receptions and deliveries are recorded in full (the ring
+// bounds memory, not the run); adoptions are not lifecycle points.
 type TraceObserver struct {
 	tr *obs.Tracer
 	// firstSent dedupes FIRST_SEND per origin process and message copy.
@@ -28,10 +28,8 @@ type firstKey struct {
 	id   wire.MsgID
 }
 
-var _ Observer = (*TraceObserver)(nil)
-
-// NewTraceObserver builds the adapter with a ring of the given capacity
-// (0 selects obs.DefaultCapacity).
+// NewTraceObserver builds the exporter with a ring of the given
+// capacity (0 selects obs.DefaultCapacity).
 func NewTraceObserver(capacity int) *TraceObserver {
 	return &TraceObserver{
 		// Node -1: events carry the per-event process index instead.
@@ -47,61 +45,40 @@ func (o *TraceObserver) Tracer() *obs.Tracer { return o.tr }
 // Events returns the recorded events, oldest first.
 func (o *TraceObserver) Events() []obs.Event { return o.tr.Events() }
 
-// OnBroadcast implements Observer.
-func (o *TraceObserver) OnBroadcast(t Time, proc int, id wire.MsgID) {
-	o.tr.EmitAt(t, proc, obs.Event{Kind: obs.EvBroadcast, Msg: id})
-}
-
-// OnSend implements Observer: the first MSG copy a process offers to any
-// link becomes FIRST_SEND; all other copies are retransmission noise.
-func (o *TraceObserver) OnSend(t Time, src, dst int, m wire.Message, dropped bool, arriveAt Time) {
-	if m.Kind != wire.KindMsg {
-		return
+// Record is the simulator hook (Config.Observers). A recovery is a
+// crash-family event with Need=1 marking the restart, a join is
+// SNAP_DONE with the container size, and a leave is a crash.
+func (o *TraceObserver) Record(e trace.Event) {
+	switch e.Kind {
+	case trace.KindBroadcast:
+		o.tr.EmitAt(e.At, e.Proc, obs.Event{Kind: obs.EvBroadcast, Msg: e.ID})
+	case trace.KindSend:
+		if e.Msg.Kind != wire.KindMsg {
+			return
+		}
+		k := firstKey{proc: e.Proc, id: e.Msg.ID()}
+		if _, ok := o.firstSent[k]; ok {
+			return
+		}
+		o.firstSent[k] = struct{}{}
+		o.tr.EmitAt(e.At, e.Proc, obs.Event{Kind: obs.EvFirstSend, Msg: k.id})
+	case trace.KindReceive:
+		ev := obs.Event{Kind: obs.EvRecv, Have: int64(e.Msg.Kind)}
+		if !e.Msg.Kind.IsBeat() && !e.Msg.Kind.IsSnap() {
+			ev.Msg = e.Msg.ID()
+		}
+		o.tr.EmitAt(e.At, e.Proc, ev)
+	case trace.KindDeliver:
+		ev := obs.Event{Kind: obs.EvDeliver, Msg: e.ID}
+		if e.Fast {
+			ev.Have = 1
+		}
+		o.tr.EmitAt(e.At, e.Proc, ev)
+	case trace.KindCrash, trace.KindLeave:
+		o.tr.EmitAt(e.At, e.Proc, obs.Event{Kind: obs.EvCrash, Have: int64(e.Proc)})
+	case trace.KindRecover:
+		o.tr.EmitAt(e.At, e.Proc, obs.Event{Kind: obs.EvCrash, Have: int64(e.Proc), Need: 1})
+	case trace.KindJoin:
+		o.tr.EmitAt(e.At, e.Proc, obs.Event{Kind: obs.EvSnapDone, Have: int64(e.Bytes), Need: int64(e.Bytes)})
 	}
-	k := firstKey{proc: src, id: m.ID()}
-	if _, ok := o.firstSent[k]; ok {
-		return
-	}
-	o.firstSent[k] = struct{}{}
-	o.tr.EmitAt(t, src, obs.Event{Kind: obs.EvFirstSend, Msg: k.id})
-}
-
-// OnReceive implements Observer.
-func (o *TraceObserver) OnReceive(t Time, dst int, m wire.Message) {
-	e := obs.Event{Kind: obs.EvRecv, Have: int64(m.Kind)}
-	if !m.Kind.IsBeat() && !m.Kind.IsSnap() {
-		e.Msg = m.ID()
-	}
-	o.tr.EmitAt(t, dst, e)
-}
-
-// OnDeliver implements Observer.
-func (o *TraceObserver) OnDeliver(t Time, proc int, d urb.Delivery) {
-	e := obs.Event{Kind: obs.EvDeliver, Msg: d.ID}
-	if d.Fast {
-		e.Have = 1
-	}
-	o.tr.EmitAt(t, proc, e)
-}
-
-// OnCrash implements Observer.
-func (o *TraceObserver) OnCrash(t Time, proc int) {
-	o.tr.EmitAt(t, proc, obs.Event{Kind: obs.EvCrash, Have: int64(proc)})
-}
-
-// OnRecover implements RecoverObserver: recovery re-enters the trace as
-// a SNAP_DONE-like lifecycle point would — recorded as a crash-family
-// event with Need=1 marking the restart.
-func (o *TraceObserver) OnRecover(t Time, proc int) {
-	o.tr.EmitAt(t, proc, obs.Event{Kind: obs.EvCrash, Have: int64(proc), Need: 1})
-}
-
-// OnJoin implements JoinObserver.
-func (o *TraceObserver) OnJoin(t Time, proc int, bytes int) {
-	o.tr.EmitAt(t, proc, obs.Event{Kind: obs.EvSnapDone, Have: int64(bytes), Need: int64(bytes)})
-}
-
-// OnLeave implements JoinObserver.
-func (o *TraceObserver) OnLeave(t Time, proc int) {
-	o.tr.EmitAt(t, proc, obs.Event{Kind: obs.EvCrash, Have: int64(proc)})
 }

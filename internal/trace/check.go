@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 
-	"anonurb/internal/sim"
 	"anonurb/internal/wire"
 )
 
@@ -98,7 +97,7 @@ func (c *Checker) Check(events []Event) *Report {
 	deliverers := make(map[wire.MsgID]int)
 	deliveryCount := make(map[procID]int)
 	adopted := make(map[procID]bool)
-	crashedAt := make(map[int]sim.Time)
+	crashedAt := make(map[int]int64)
 	// Channel accounting: copies offered per (dst, encoded message) vs
 	// copies received — receives must never exceed surviving sends
 	// (channels neither create nor duplicate messages).
@@ -230,41 +229,4 @@ func (c *Checker) Check(events []Event) *Report {
 		}
 	}
 	return rep
-}
-
-// CheckResult is a convenience wrapper: run the checker against a
-// sim.Result (no wire events needed).
-func CheckResult(res sim.Result) *Report {
-	return NewChecker(len(res.Deliveries), res.Crashed).Check(ResultEvents(res))
-}
-
-// ResultEvents converts a sim.Result into checker events: its
-// broadcasts, its deliveries, and the history each mid-run joiner
-// adopted (stamped with its join time).
-func ResultEvents(res sim.Result) []Event {
-	var events []Event
-	for _, b := range res.Broadcasts {
-		events = append(events, Event{At: b.At, Kind: KindBroadcast, Proc: b.Proc, ID: b.ID})
-	}
-	for p, ds := range res.Deliveries {
-		for _, d := range ds {
-			events = append(events, Event{At: d.At, Kind: KindDeliver, Proc: p, ID: d.ID, Fast: d.Fast})
-		}
-	}
-	return append(events, AdoptEvents(res)...)
-}
-
-// AdoptEvents lists the history res's mid-run joiners adopted, in
-// broadcast order. A sim.Observer never sees adoption, so a recorded
-// trace of a churn run needs these appended.
-func AdoptEvents(res sim.Result) []Event {
-	var events []Event
-	for p, ids := range res.Adopted {
-		for _, b := range res.Broadcasts {
-			if ids[b.ID] {
-				events = append(events, Event{At: res.JoinedAt[p], Kind: KindAdopt, Proc: p, ID: b.ID})
-			}
-		}
-	}
-	return events
 }

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"anonurb/internal/ident"
-	"anonurb/internal/sim"
 	"anonurb/internal/wire"
 )
 
@@ -34,7 +32,11 @@ func fromJSONTag(t jsonTag) ident.Tag { return ident.Tag{Hi: t.Hi, Lo: t.Lo} }
 
 // jsonEvent serialises an Event. Body is a byte slice so that JSON
 // encoding (base64) round-trips arbitrary payload bytes — a plain JSON
-// string would mangle non-UTF-8 payloads into U+FFFD.
+// string would mangle non-UTF-8 payloads into U+FFFD. Wire holds a
+// send or receive event's message as its canonical wire.Message
+// encoding (version 3); versions 1 and 2 spelled it out in MsgKind,
+// Body, Tag, AckTag and Labels, which cannot carry delta-ACK, beat or
+// snapshot-transfer fields.
 type jsonEvent struct {
 	At      int64     `json:"at"`
 	Kind    uint8     `json:"kind"`
@@ -42,18 +44,22 @@ type jsonEvent struct {
 	Dst     int       `json:"dst,omitempty"`
 	Body    []byte    `json:"body,omitempty"`
 	Tag     jsonTag   `json:"tag,omitempty"`
+	Wire    []byte    `json:"wire,omitempty"`
 	MsgKind uint8     `json:"mk,omitempty"`
 	AckTag  jsonTag   `json:"ack,omitempty"`
 	Labels  []jsonTag `json:"labels,omitempty"`
 	Dropped bool      `json:"dropped,omitempty"`
 	Fast    bool      `json:"fast,omitempty"`
+	Bytes   int       `json:"bytes,omitempty"`
 }
 
-// fileVersion 2: the body field became base64-encoded bytes (arbitrary
-// payloads); version 1 stored it as a JSON string and cannot represent
-// non-UTF-8 bodies. Write emits version 2; Read also accepts version 1
-// (old bodies are valid JSON strings and convert losslessly).
-const fileVersion = 2
+// fileVersion 3: wire events carry their message's canonical encoding,
+// so every field of every message kind survives a round trip. Version
+// 2 made the body field base64-encoded bytes (arbitrary payloads);
+// version 1 stored it as a JSON string and cannot represent non-UTF-8
+// bodies. Write emits version 3; Read accepts all three (old bodies are
+// valid JSON strings and convert losslessly).
+const fileVersion = 3
 
 // jsonEventV1 reads a version-1 event: identical layout except the body
 // is a plain JSON string.
@@ -72,20 +78,14 @@ func Write(w io.Writer, n int, crashed []bool, events []Event) error {
 	for i, e := range events {
 		je := jsonEvent{
 			At: e.At, Kind: uint8(e.Kind), Proc: e.Proc, Dst: e.Dst,
-			Dropped: e.Dropped, Fast: e.Fast,
+			Dropped: e.Dropped, Fast: e.Fast, Bytes: e.Bytes,
 		}
 		switch e.Kind {
 		case KindBroadcast, KindDeliver, KindAdopt:
 			je.Body = e.ID.Bytes()
 			je.Tag = toJSONTag(e.ID.Tag)
 		case KindSend, KindReceive:
-			je.Body = e.Msg.Body
-			je.Tag = toJSONTag(e.Msg.Tag)
-			je.MsgKind = uint8(e.Msg.Kind)
-			je.AckTag = toJSONTag(e.Msg.AckTag)
-			for _, l := range e.Msg.Labels {
-				je.Labels = append(je.Labels, toJSONTag(l))
-			}
+			je.Wire = e.Msg.Encode(nil)
 		}
 		if err := enc.Encode(je); err != nil {
 			return fmt.Errorf("trace: write event %d: %w", i, err)
@@ -105,7 +105,7 @@ func Read(r io.Reader) (Header, []Event, error) {
 	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
 		return Header{}, nil, fmt.Errorf("trace: bad header: %w", err)
 	}
-	if h.Version != fileVersion && h.Version != 1 {
+	if h.Version < 1 || h.Version > fileVersion {
 		return Header{}, nil, fmt.Errorf("trace: unsupported version %d", h.Version)
 	}
 	if h.N < 1 || len(h.Crashed) != h.N {
@@ -130,12 +130,20 @@ func Read(r io.Reader) (Header, []Event, error) {
 		}
 		e := Event{
 			At: je.At, Kind: Kind(je.Kind), Proc: je.Proc, Dst: je.Dst,
-			Dropped: je.Dropped, Fast: je.Fast,
+			Dropped: je.Dropped, Fast: je.Fast, Bytes: je.Bytes,
 		}
 		switch e.Kind {
 		case KindBroadcast, KindDeliver, KindAdopt:
 			e.ID = wire.NewMsgID(fromJSONTag(je.Tag), je.Body)
 		case KindSend, KindReceive:
+			if h.Version == fileVersion {
+				m, err := wire.Decode(je.Wire)
+				if err != nil {
+					return Header{}, nil, fmt.Errorf("trace: line %d: %w", line, err)
+				}
+				e.Msg = m
+				break
+			}
 			e.Msg = wire.Message{
 				Kind: wire.Kind(je.MsgKind), Body: je.Body,
 				Tag: fromJSONTag(je.Tag), AckTag: fromJSONTag(je.AckTag),
@@ -143,7 +151,7 @@ func Read(r io.Reader) (Header, []Event, error) {
 			for _, l := range je.Labels {
 				e.Msg.Labels = append(e.Msg.Labels, fromJSONTag(l))
 			}
-		case KindCrash:
+		case KindCrash, KindRecover, KindJoin, KindLeave:
 		default:
 			return Header{}, nil, fmt.Errorf("trace: line %d: unknown kind %d", line, je.Kind)
 		}
@@ -153,15 +161,4 @@ func Read(r io.Reader) (Header, []Event, error) {
 		return Header{}, nil, fmt.Errorf("trace: scan: %w", err)
 	}
 	return h, events, nil
-}
-
-// WriteResult is a convenience: serialise a sim.Result (without wire
-// events) plus a recorder's events if given. Mid-run joiners' adopted
-// history is written either way.
-func WriteResult(w io.Writer, res sim.Result, rec *Recorder) error {
-	events := ResultEvents(res)
-	if rec != nil {
-		events = slices.Concat(rec.Events(), AdoptEvents(res))
-	}
-	return Write(w, len(res.Deliveries), res.Crashed, events)
 }

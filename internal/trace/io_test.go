@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"anonurb/internal/channel"
 	"anonurb/internal/ident"
-	"anonurb/internal/sim"
-	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 )
 
@@ -67,74 +64,12 @@ func TestTraceReadErrors(t *testing.T) {
 		{"inconsistent", `{"version":2,"n":2,"crashed":[false]}` + "\n", "inconsistent"},
 		{"bad event", `{"version":2,"n":1,"crashed":[false]}` + "\nnope\n", "line 2"},
 		{"bad kind", `{"version":2,"n":1,"crashed":[false]}` + "\n" + `{"kind":99}` + "\n", "unknown kind"},
+		{"bad wire", `{"version":3,"n":1,"crashed":[false]}` + "\n" + `{"kind":1,"wire":"AQ=="}` + "\n", "line 2"},
 	}
 	for _, c := range cases {
 		_, _, err := Read(strings.NewReader(c.data))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err=%v, want contains %q", c.name, err, c.want)
 		}
-	}
-}
-
-func TestTraceRoundTripCheckerAgrees(t *testing.T) {
-	// Round-tripping a real run through the file format must not change
-	// the checker's verdict.
-	const n = 4
-	rec := NewRecorder(Options{Wire: true})
-	res := sim.NewEngine(sim.Config{
-		N: n,
-		Factory: func(env sim.Env) urb.Process {
-			return urb.NewMajority(n, env.Tags, urb.Config{})
-		},
-		Link:             channel.Bernoulli{P: 0.2, D: channel.UniformDelay{Min: 1, Max: 4}},
-		Seed:             31,
-		MaxTime:          20_000,
-		Broadcasts:       []sim.ScheduledBroadcast{{At: 3, Proc: 0, Body: []byte("io")}},
-		Observers:        []sim.Observer{rec},
-		ExpectDeliveries: 1,
-	}).Run()
-
-	var buf bytes.Buffer
-	if err := Write(&buf, n, res.Crashed, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	h, events, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := NewChecker(n, res.Crashed).Check(rec.Events())
-	after := NewChecker(h.N, h.Crashed).Check(events)
-	if before.OK() != after.OK() ||
-		before.TotalDeliveries != after.TotalDeliveries ||
-		before.Broadcast != after.Broadcast ||
-		before.FastDeliveries != after.FastDeliveries {
-		t.Fatalf("verdicts diverged: %+v vs %+v", before, after)
-	}
-}
-
-func TestWriteResultWithoutRecorder(t *testing.T) {
-	const n = 3
-	res := sim.NewEngine(sim.Config{
-		N: n,
-		Factory: func(env sim.Env) urb.Process {
-			return urb.NewMajority(n, env.Tags, urb.Config{})
-		},
-		Link:             channel.Reliable{D: channel.FixedDelay(1)},
-		Seed:             32,
-		MaxTime:          5_000,
-		Broadcasts:       []sim.ScheduledBroadcast{{At: 3, Proc: 0, Body: []byte("x")}},
-		ExpectDeliveries: 1,
-	}).Run()
-	var buf bytes.Buffer
-	if err := WriteResult(&buf, res, nil); err != nil {
-		t.Fatal(err)
-	}
-	h, events, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := NewChecker(h.N, h.Crashed).Check(events)
-	if !rep.OK() || rep.Broadcast != 1 {
-		t.Fatalf("report %+v", rep)
 	}
 }

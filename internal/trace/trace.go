@@ -1,5 +1,12 @@
-// Package trace records runs and checks them against the URB
-// specification.
+// Package trace is the record of a simulated run and its referee.
+//
+// Event is the one record of a run: the simulator emits every
+// broadcast, wire copy, delivery, crash, recovery, join, leave and
+// adoption as an Event through its single hook (sim.Config.Observers),
+// and every consumer — Recorder, the JSONL file format, the Chrome
+// lifecycle exporter, the replay schedule recorder — reads that
+// stream. The package imports neither the simulator nor the
+// algorithms: it knows runs only through their events.
 //
 // The checkers operate on ground truth the algorithms never see (who
 // broadcast what, who crashed): they are the referee, not part of the
@@ -22,8 +29,6 @@ package trace
 import (
 	"fmt"
 
-	"anonurb/internal/sim"
-	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 )
 
@@ -40,6 +45,14 @@ const (
 	// KindAdopt records that a mid-run joiner adopted a message as
 	// already delivered from its donor's snapshot (DESIGN.md §13).
 	KindAdopt
+	// KindRecover records a crashed process restarting from its store.
+	KindRecover
+	// KindJoin records a mid-run joiner going live; Bytes is the
+	// snapshot container size it pulled.
+	KindJoin
+	// KindLeave records a process leaving for good; its crash event
+	// precedes it.
+	KindLeave
 )
 
 // String implements fmt.Stringer.
@@ -57,17 +70,25 @@ func (k Kind) String() string {
 		return "crash"
 	case KindAdopt:
 		return "adopt"
+	case KindRecover:
+		return "recover"
+	case KindJoin:
+		return "join"
+	case KindLeave:
+		return "leave"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
-// Event is one recorded run event.
+// Event is one run event.
 type Event struct {
-	At   sim.Time
+	// At is the virtual time (0 for live runs, which share no clock).
+	At   int64
 	Kind Kind
 	// Proc is the acting process (broadcaster, sender, receiver,
-	// deliverer, crasher, adopter).
+	// deliverer, crasher, adopter, recovering, joining or leaving
+	// process).
 	Proc int
 	// Dst is the destination for send events.
 	Dst int
@@ -79,74 +100,42 @@ type Event struct {
 	Dropped bool
 	// Fast marks fast deliveries.
 	Fast bool
+	// Bytes is the snapshot container size on join events.
+	Bytes int
 }
 
 // Options controls what the recorder keeps.
 type Options struct {
 	// Wire records send/receive events (can be voluminous); broadcast,
-	// deliver and crash events are always kept.
+	// deliver, crash and adopt events are always kept.
 	Wire bool
 }
 
-// Recorder implements sim.Observer and accumulates events.
+// Recorder accumulates the events a trace file and the checker read:
+// broadcast, deliver, crash and adopt always, send and receive under
+// Options.Wire. Its Record method is a simulator hook.
 type Recorder struct {
 	opt    Options
 	events []Event
-	// counters maintained even when wire events are not stored
-	sends, drops, receives uint64
-	lastSend               sim.Time
 }
-
-var _ sim.Observer = (*Recorder)(nil)
 
 // NewRecorder returns an empty recorder.
 func NewRecorder(opt Options) *Recorder {
 	return &Recorder{opt: opt}
 }
 
-// OnBroadcast implements sim.Observer.
-func (r *Recorder) OnBroadcast(t sim.Time, proc int, id wire.MsgID) {
-	r.events = append(r.events, Event{At: t, Kind: KindBroadcast, Proc: proc, ID: id})
-}
-
-// OnSend implements sim.Observer.
-func (r *Recorder) OnSend(t sim.Time, src, dst int, m wire.Message, dropped bool, _ sim.Time) {
-	r.sends++
-	if dropped {
-		r.drops++
+// Record keeps e if it is a kind the recorder stores.
+func (r *Recorder) Record(e Event) {
+	switch e.Kind {
+	case KindSend, KindReceive:
+		if !r.opt.Wire {
+			return
+		}
+	case KindRecover, KindJoin, KindLeave:
+		return
 	}
-	r.lastSend = t
-	if r.opt.Wire {
-		r.events = append(r.events, Event{At: t, Kind: KindSend, Proc: src, Dst: dst, Msg: m, Dropped: dropped})
-	}
-}
-
-// OnReceive implements sim.Observer.
-func (r *Recorder) OnReceive(t sim.Time, dst int, m wire.Message) {
-	r.receives++
-	if r.opt.Wire {
-		r.events = append(r.events, Event{At: t, Kind: KindReceive, Proc: dst, Msg: m})
-	}
-}
-
-// OnDeliver implements sim.Observer.
-func (r *Recorder) OnDeliver(t sim.Time, proc int, d urb.Delivery) {
-	r.events = append(r.events, Event{At: t, Kind: KindDeliver, Proc: proc, ID: d.ID, Fast: d.Fast})
-}
-
-// OnCrash implements sim.Observer.
-func (r *Recorder) OnCrash(t sim.Time, proc int) {
-	r.events = append(r.events, Event{At: t, Kind: KindCrash, Proc: proc})
+	r.events = append(r.events, e)
 }
 
 // Events returns the recorded events in order.
 func (r *Recorder) Events() []Event { return r.events }
-
-// Sends returns (copies offered, copies dropped).
-func (r *Recorder) Sends() (uint64, uint64) { return r.sends, r.drops }
-
-// Receives returns copies received.
-func (r *Recorder) Receives() uint64 { return r.receives }
-
-// LastSend returns the time of the last offered copy.
-func (r *Recorder) LastSend() sim.Time { return r.lastSend }

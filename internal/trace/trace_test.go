@@ -4,10 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"anonurb/internal/channel"
 	"anonurb/internal/ident"
-	"anonurb/internal/sim"
-	"anonurb/internal/urb"
 	"anonurb/internal/wire"
 )
 
@@ -201,63 +198,6 @@ func TestCheckerFastDeliveryCounting(t *testing.T) {
 	})
 	if rep.FastDeliveries != 1 {
 		t.Fatalf("fast deliveries %d", rep.FastDeliveries)
-	}
-}
-
-func TestRecorderEndToEnd(t *testing.T) {
-	// Record a real simulator run and check it end-to-end, including
-	// wire-level channel integrity.
-	const n = 4
-	rec := NewRecorder(Options{Wire: true})
-	res := sim.NewEngine(sim.Config{
-		N: n,
-		Factory: func(env sim.Env) urb.Process {
-			return urb.NewMajority(n, env.Tags, urb.Config{})
-		},
-		Link:             channel.Bernoulli{P: 0.2, D: channel.UniformDelay{Min: 1, Max: 4}},
-		Seed:             13,
-		MaxTime:          20_000,
-		CrashAt:          []sim.Time{sim.Never, sim.Never, sim.Never, 60},
-		Broadcasts:       []sim.ScheduledBroadcast{{At: 3, Proc: 0, Body: []byte("hello")}},
-		Observers:        []sim.Observer{rec},
-		ExpectDeliveries: 1,
-	}).Run()
-
-	sends, drops := rec.Sends()
-	if sends == 0 || sends != res.Net.Sent || drops != res.Net.Dropped {
-		t.Fatalf("recorder counts diverge from engine: %d/%d vs %+v", sends, drops, res.Net)
-	}
-	rep := NewChecker(n, res.Crashed).Check(rec.Events())
-	if !rep.OK() {
-		t.Fatalf("real run violates URB: %+v", rep.Violations)
-	}
-	if rep.TotalDeliveries == 0 {
-		t.Fatal("no deliveries recorded")
-	}
-	if rec.Receives() == 0 || rec.LastSend() == 0 {
-		t.Fatal("recorder counters")
-	}
-}
-
-func TestCheckResultConvenience(t *testing.T) {
-	const n = 3
-	res := sim.NewEngine(sim.Config{
-		N: n,
-		Factory: func(env sim.Env) urb.Process {
-			return urb.NewMajority(n, env.Tags, urb.Config{})
-		},
-		Link:             channel.Reliable{D: channel.FixedDelay(1)},
-		Seed:             14,
-		MaxTime:          5000,
-		Broadcasts:       []sim.ScheduledBroadcast{{At: 3, Proc: 1, Body: []byte("x")}},
-		ExpectDeliveries: 1,
-	}).Run()
-	rep := CheckResult(res)
-	if !rep.OK() {
-		t.Fatalf("CheckResult flagged a clean run: %+v", rep.Violations)
-	}
-	if rep.Broadcast != 1 {
-		t.Fatalf("broadcast count %d", rep.Broadcast)
 	}
 }
 
