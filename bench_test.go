@@ -233,7 +233,7 @@ func BenchmarkQuiescentTickHistory(b *testing.B) {
 			l := func(i uint64) ident.Tag { return ident.Tag{Hi: i, Lo: 1} }
 			view := fd.Normalize(fd.View{{Label: l(1), Number: 3}, {Label: l(2), Number: 3}, {Label: l(3), Number: 3}})
 			p := urb.NewQuiescent(fd.Static{Theta: view, Star: view}, ident.NewSource(xrand.New(11)),
-				urb.Config{DeltaAcks: true, CompactDelivered: true, CheckOnTick: true})
+				urb.Config{DeltaAcks: true, CheckOnTick: true})
 			labels := []ident.Tag{l(1), l(2), l(3)}
 			for i := 0; i < retired; i++ {
 				id := wire.MsgID{Tag: ident.Tag{Hi: 77, Lo: uint64(i + 1)}, Body: fmt.Sprintf("h%05d", i)}

@@ -239,8 +239,9 @@ func main() {
 // batchingReport is the JSON document -batching -out writes. Schema v2
 // added the ack-encoding comparisons and the ack_bytes /
 // inbox_overflows counters inside every result; schema v3 adds the
-// compaction and beat-encoding comparisons plus the steady-state
-// heap/retained-label counters (DESIGN.md §10).
+// beat-encoding comparisons plus the steady-state heap/retained-label
+// counters (DESIGN.md §10). Documents written before acker views were
+// always interned also carry a "compaction" block, which nothing reads.
 type batchingReport struct {
 	Schema      string             `json:"schema"`
 	Seed        uint64             `json:"seed"`
@@ -254,9 +255,6 @@ type batchingReport struct {
 	// AckEncoding compares delta against full-set labeled ACKs on the
 	// quiescent cells (DESIGN.md §8).
 	AckEncoding []bench.AckComparison `json:"ack_encoding,omitempty"`
-	// Compaction compares compacted against uncompacted steady state on
-	// the mesh quiescent cells (DESIGN.md §10).
-	Compaction []bench.CompactionComparison `json:"compaction,omitempty"`
 	// BeatEncoding compares delta against legacy beat streams on the
 	// heartbeat-stack cells (DESIGN.md §10).
 	BeatEncoding []bench.BeatComparison `json:"beat_encoding,omitempty"`
@@ -347,34 +345,6 @@ func runBatching(seed uint64, quick bool, out, baseline string) int {
 			a.FullSet.InboxOverflows, a.Delta.InboxOverflows,
 			time.Since(start).Round(time.Millisecond))
 		report.AckEncoding = append(report.AckEncoding, a)
-	}
-
-	// Compaction phase: compacted versus uncompacted steady state on the
-	// mesh quiescent cells. The batching phase's batched delta runs are
-	// the compacted side — reuse them.
-	fmt.Printf("\n%-22s %12s %12s %9s %9s %9s %9s\n",
-		"compaction", "labels", "labels", "storage", "heap", "allocs", "quiesce")
-	fmt.Printf("%-22s %12s %12s %9s %9s %9s %9s\n",
-		"", "(plain)", "(compact)", "improv.", "ratio", "ratio", "ratio")
-	for _, w := range bench.CompactionMatrix(seed, quick) {
-		start := time.Now()
-		var cc bench.CompactionComparison
-		var err error
-		if compacted, ok := measured[fmt.Sprintf("%s/%s/n=%d", w.Algo, w.Net, w.N)]; ok {
-			cc, err = bench.CompareCompactionAgainst(w, compacted)
-		} else {
-			cc, err = bench.CompareCompaction(w)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "urbbench: compaction %s: %v\n", w, err)
-			failed = true
-			continue
-		}
-		fmt.Printf("%-22s %12d %12d %8.2fx %9.3f %9.3f %9.3f   (%v)\n",
-			cc.Name, cc.Uncompacted.AckLabelStorage, cc.Compacted.AckLabelStorage,
-			cc.LabelStorageImprovement, cc.HeapRatio, cc.AllocsRatio, cc.QuiescenceRatio,
-			time.Since(start).Round(time.Millisecond))
-		report.Compaction = append(report.Compaction, cc)
 	}
 
 	// Beat-encoding phase: the heartbeat stack's steady detector traffic,

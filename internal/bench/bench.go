@@ -90,12 +90,6 @@ type Workload struct {
 	// one re-ACK per MSG reception). Ignored by Majority, whose ACKs are
 	// constant-size.
 	FullSetAcks bool `json:"full_set_acks,omitempty"`
-	// NoCompaction disables post-delivery claim compaction (DESIGN.md
-	// §10), which — like the delta encoding — is the benchmark default.
-	// The uncompacted form is the baseline the steady-state heap and
-	// retained-label measurements are compared against. Ignored by
-	// Majority.
-	NoCompaction bool `json:"no_compaction,omitempty"`
 	// LegacyBeats makes heartbeat workloads emit full 22-byte ALIVE
 	// beats instead of the delta beat streams that are the benchmark
 	// default (DESIGN.md §10): the baseline of the beat-encoding
@@ -128,9 +122,6 @@ func (w Workload) String() string {
 	s := fmt.Sprintf("%s/%s/n=%d/batch=%s", w.Algo, w.Net, w.N, mode)
 	if w.Algo != AlgoMajority && w.FullSetAcks {
 		s += "/acks=full"
-	}
-	if w.Algo != AlgoMajority && w.NoCompaction {
-		s += "/compact=off"
 	}
 	if w.Algo == AlgoHeartbeat && w.LegacyBeats {
 		s += "/beats=legacy"
@@ -181,14 +172,12 @@ type Result struct {
 	// Steady-state memory, sampled once the cluster is quiescent (or the
 	// steady window closes): HeapAlloc after a forced GC, plus the
 	// algorithms' retained ACK bookkeeping — the acker views held and
-	// the label slots they store logically vs physically (compaction
-	// collapses the latter; DESIGN.md §10). The checked-in numbers are
-	// what makes the compaction win a measured fact, not a claim.
+	// the label slots they store logically vs physically (interned views
+	// collapse the latter; DESIGN.md §10).
 	SteadyHeapAlloc uint64 `json:"steady_heap_alloc"`
 	AckViews        uint64 `json:"ack_views"`
 	AckLabels       uint64 `json:"ack_labels"`
 	AckLabelStorage uint64 `json:"ack_label_storage"`
-	CompactedMsgs   uint64 `json:"compacted_msgs,omitempty"`
 
 	// Steady-state window (Majority only): counter deltas over the
 	// sample window, normalised to exactly the targeted number of wire
@@ -310,7 +299,7 @@ func Run(w Workload) (Result, error) {
 			proc = urb.NewMajority(w.N, ident.NewSource(tagRoot.Split()), urb.Config{})
 		case AlgoQuiescent:
 			proc = urb.NewQuiescent(oracle.Handle(i, clock), ident.NewSource(tagRoot.Split()),
-				urb.Config{DeltaAcks: !w.FullSetAcks, CompactDelivered: !w.NoCompaction})
+				urb.Config{DeltaAcks: !w.FullSetAcks})
 		case AlgoHeartbeat:
 			// The full Section VI stack: Algorithm 2 over fd.Heartbeat,
 			// ALIVE beats multiplexed on the same transport. The trust
@@ -322,8 +311,7 @@ func Run(w Workload) (Result, error) {
 				timeout = 50
 			}
 			proc = urb.NewHeartbeatHost(ident.NewSource(tagRoot.Split()), timeout, 1, clock,
-				urb.Config{DeltaAcks: !w.FullSetAcks, CompactDelivered: !w.NoCompaction,
-					DeltaBeats: !w.LegacyBeats})
+				urb.Config{DeltaAcks: !w.FullSetAcks, DeltaBeats: !w.LegacyBeats})
 		default:
 			return Result{}, fmt.Errorf("bench: unknown algo %q", w.Algo)
 		}
@@ -573,7 +561,6 @@ func Run(w Workload) (Result, error) {
 			res.AckViews += uint64(st.AckEntries)
 			res.AckLabels += uint64(st.AckLabels)
 			res.AckLabelStorage += uint64(st.AckLabelStorage)
-			res.CompactedMsgs += uint64(st.CompactedMsgs)
 		}
 	}
 	for _, u := range udps {
@@ -741,85 +728,6 @@ func AckMatrix(seed uint64, quick bool) []Workload {
 	return ws
 }
 
-// CompactionComparison pairs a compacted and an uncompacted run of one
-// Quiescent workload (batching + delta ACKs on in both): the
-// measurement of post-delivery claim compaction and the retirement
-// index (DESIGN.md §10).
-type CompactionComparison struct {
-	Name string `json:"name"`
-	// Compacted is the run with CompactDelivered (the default);
-	// Uncompacted is the label-matrix baseline.
-	Compacted   Result `json:"compacted"`
-	Uncompacted Result `json:"uncompacted"`
-	// LabelStorageImprovement is how many times fewer label slots the
-	// compacted steady state retains (uncompacted AckLabelStorage over
-	// compacted; the logical AckLabels are equal by equivalence).
-	LabelStorageImprovement float64 `json:"label_storage_improvement"`
-	// HeapRatio is compacted steady-state HeapAlloc over uncompacted
-	// (< 1 is a win; the whole-process heap dilutes the per-structure
-	// collapse, so LabelStorageImprovement is the sharper number).
-	HeapRatio float64 `json:"heap_ratio_compacted_over_uncompacted"`
-	// AllocsRatio is compacted allocations per delivery over uncompacted.
-	AllocsRatio float64 `json:"allocs_ratio_compacted_over_uncompacted"`
-	// QuiescenceRatio is compacted quiescence time over uncompacted
-	// (must hover at or below 1: compaction may not slow the endgame).
-	QuiescenceRatio float64 `json:"quiescence_ratio_compacted_over_uncompacted"`
-}
-
-// CompareCompactionAgainst runs w uncompacted and derives the ratios
-// against an already-measured compacted run (batching + delta ACKs on,
-// same seed).
-func CompareCompactionAgainst(w Workload, compacted Result) (CompactionComparison, error) {
-	if w.Algo != AlgoQuiescent {
-		return CompactionComparison{}, fmt.Errorf("bench: compaction comparison needs the quiescent algorithm, got %q", w.Algo)
-	}
-	w.Batching = true
-	w.FullSetAcks = false
-	w.NoCompaction = true
-	plain, err := Run(w)
-	if err != nil {
-		return CompactionComparison{}, err
-	}
-	if !plain.Quiesced || !compacted.Quiesced {
-		return CompactionComparison{}, fmt.Errorf("bench: %s did not quiesce within its timeout (plain=%v compacted=%v)",
-			w, plain.Quiesced, compacted.Quiesced)
-	}
-	c := CompactionComparison{
-		Name:        fmt.Sprintf("%s/%s/n=%d", w.Algo, w.Net, w.N),
-		Compacted:   compacted,
-		Uncompacted: plain,
-	}
-	if compacted.AckLabelStorage > 0 {
-		c.LabelStorageImprovement = float64(plain.AckLabelStorage) / float64(compacted.AckLabelStorage)
-	}
-	if plain.SteadyHeapAlloc > 0 {
-		c.HeapRatio = float64(compacted.SteadyHeapAlloc) / float64(plain.SteadyHeapAlloc)
-	}
-	if plain.AllocsPerDelivery > 0 {
-		c.AllocsRatio = compacted.AllocsPerDelivery / plain.AllocsPerDelivery
-	}
-	if plain.QuiescenceMS > 0 {
-		c.QuiescenceRatio = compacted.QuiescenceMS / plain.QuiescenceMS
-	}
-	return c, nil
-}
-
-// CompareCompaction is CompareCompactionAgainst running the compacted
-// side itself.
-func CompareCompaction(w Workload) (CompactionComparison, error) {
-	if w.Algo != AlgoQuiescent {
-		return CompactionComparison{}, fmt.Errorf("bench: compaction comparison needs the quiescent algorithm, got %q", w.Algo)
-	}
-	w.Batching = true
-	w.FullSetAcks = false
-	w.NoCompaction = false
-	compacted, err := Run(w)
-	if err != nil {
-		return CompactionComparison{}, err
-	}
-	return CompareCompactionAgainst(w, compacted)
-}
-
 // BeatComparison pairs a delta-beat and a legacy-beat run of one
 // heartbeat workload: the measurement of the BEATΔ encoding (DESIGN.md
 // §10) on the one traffic class a quiescent cluster pays forever.
@@ -871,20 +779,6 @@ func CompareBeatEncoding(w Workload) (BeatComparison, error) {
 		c.BeatBytesImprovement = legacy.SteadyBeatBytes / delta.SteadyBeatBytes
 	}
 	return c, nil
-}
-
-// CompactionMatrix returns the compaction comparison workloads: the
-// mesh Quiescent cells of the batching matrix (the n=100 cell is the
-// acceptance benchmark — steady-state heap and allocs per delivery must
-// drop there).
-func CompactionMatrix(seed uint64, quick bool) []Workload {
-	var ws []Workload
-	for _, w := range Matrix(seed, quick) {
-		if w.Algo == AlgoQuiescent && w.Net == NetMesh {
-			ws = append(ws, w)
-		}
-	}
-	return ws
 }
 
 // BeatMatrix returns the beat-encoding comparison workloads: heartbeat

@@ -117,27 +117,23 @@ func TestCompareAckEncodingRejectsMajority(t *testing.T) {
 	}
 }
 
-// TestCompactionReducesLabelStorage: the compaction claim at CI scale —
-// a quiescent mesh cell retains fewer physical label slots compacted
-// than uncompacted, at identical logical bookkeeping and without
-// slowing quiescence pathologically.
+// TestCompactionReducesLabelStorage: the label-storage claim of
+// interned acker views (DESIGN.md §10) at CI scale — a quiescent mesh
+// cell physically retains fewer label slots than its views hold
+// logically, which is what a per-view copy of every set would store.
 func TestCompactionReducesLabelStorage(t *testing.T) {
-	c, err := CompareCompaction(quickWorkload(AlgoQuiescent, NetMesh))
+	r, err := Run(quickWorkload(AlgoQuiescent, NetMesh))
 	if err != nil {
-		t.Fatalf("compare: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	if c.Compacted.AckLabels != c.Uncompacted.AckLabels {
-		t.Fatalf("logical labels diverged: compacted=%d uncompacted=%d (equivalence broken)",
-			c.Compacted.AckLabels, c.Uncompacted.AckLabels)
+	if r.AckLabelStorage == 0 {
+		t.Fatal("no label storage sampled")
 	}
-	if c.Compacted.CompactedMsgs == 0 {
-		t.Fatal("compacted run compacted nothing")
+	if ratio := float64(r.AckLabels) / float64(r.AckLabelStorage); ratio < 1.5 {
+		t.Fatalf("label storage improvement %.2fx < 1.5x (logical=%d stored=%d)",
+			ratio, r.AckLabels, r.AckLabelStorage)
 	}
-	if c.LabelStorageImprovement < 1.5 {
-		t.Fatalf("label storage improvement %.2fx < 1.5x (uncompacted=%d compacted=%d)",
-			c.LabelStorageImprovement, c.Uncompacted.AckLabelStorage, c.Compacted.AckLabelStorage)
-	}
-	if c.Uncompacted.SteadyHeapAlloc == 0 || c.Compacted.SteadyHeapAlloc == 0 {
+	if r.SteadyHeapAlloc == 0 {
 		t.Fatal("steady heap sample missing")
 	}
 }

@@ -239,10 +239,10 @@ func TestLiveQuiescentHeartbeatStack(t *testing.T) {
 }
 
 func TestLiveQuiescentHeartbeatStackDeltaBeats(t *testing.T) {
-	// The full steady-state configuration over a lossy mesh: delta ACKs,
-	// post-delivery compaction, and BEATΔ streams — lost beat snapshots
-	// must heal through the BEATREQ path for the detectors to converge.
-	testLiveHeartbeatStack(t, urb.Config{DeltaAcks: true, CompactDelivered: true, DeltaBeats: true})
+	// The full steady-state configuration over a lossy mesh: delta ACKs
+	// and BEATΔ streams — lost beat snapshots must heal through the
+	// BEATREQ path for the detectors to converge.
+	testLiveHeartbeatStack(t, urb.Config{DeltaAcks: true, DeltaBeats: true})
 }
 
 func testLiveHeartbeatStack(t *testing.T, cfg urb.Config) {

@@ -190,9 +190,6 @@ type Tracer struct {
 	// even though the ring wraps forever. Guarded by mu.
 	bodies  []string
 	bodyIdx map[wire.MsgID]uint32
-	// first dedups FIRST_SEND per message (the one allocating emit,
-	// once per message); guarded by mu.
-	first map[wire.MsgID]struct{}
 	// firstTag dedups FirstSendMsg by broadcast tag so steady-state MSG
 	// retransmissions never materialise a MsgID; guarded by mu.
 	firstTag map[ident.Tag]struct{}
@@ -210,7 +207,6 @@ func New(node int, capacity int, clock func() int64) *Tracer {
 		clock:    clock,
 		buf:      make([]slot, capacity),
 		bodyIdx:  make(map[wire.MsgID]uint32),
-		first:    make(map[wire.MsgID]struct{}),
 		firstTag: make(map[ident.Tag]struct{}),
 	}
 }
@@ -304,28 +300,13 @@ func (t *Tracer) Broadcast(id wire.MsgID) {
 	t.emit(Event{Kind: EvBroadcast, Msg: id})
 }
 
-// FirstSend records the first wire transmission of id's MSG frame by
-// this node; later retransmissions of the same id are suppressed here,
-// so callers invoke it on every MSG send without further bookkeeping.
-func (t *Tracer) FirstSend(id wire.MsgID) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if _, dup := t.first[id]; dup {
-		t.mu.Unlock()
-		return
-	}
-	t.first[id] = struct{}{}
-	t.mu.Unlock()
-	t.emit(Event{Kind: EvFirstSend, Msg: id})
-}
-
-// FirstSendMsg is FirstSend for a raw MSG frame on the send path: it
-// dedups by the broadcast tag first, so the MsgID (whose Body is a
-// string conversion, i.e. an allocation) is materialised only once per
-// message — steady-state retransmissions stay allocation-free even with
-// the tracer on.
+// FirstSendMsg records the first wire transmission of a MSG frame by
+// this node; later retransmissions of the same message are suppressed
+// here, so callers invoke it on every MSG send without further
+// bookkeeping. It dedups by the broadcast tag, so the MsgID (whose Body
+// is a string conversion, i.e. an allocation) is materialised only once
+// per message — steady-state retransmissions stay allocation-free even
+// with the tracer on.
 func (t *Tracer) FirstSendMsg(m wire.Message) {
 	if t == nil {
 		return

@@ -85,15 +85,11 @@ func TestSimCrashRecoverMajority(t *testing.T) {
 // pinned tag_acks and the cluster still retires everything and falls
 // silent.
 func TestSimCrashRecoverQuiescent(t *testing.T) {
-	// Paper-shaped bookkeeping, then the full steady-state configuration
-	// (delta ACKs + post-delivery compaction): crash-recovery must
-	// restore either representation — compacted snapshots restore shared
-	// interned sets — and reach the same quiescent endgame.
+	// Delta ACKs over interned acker views: crash-recovery restores the
+	// shared sets from the snapshot's set table and reaches the quiescent
+	// endgame.
 	t.Run("delta", func(t *testing.T) {
 		testSimCrashRecoverQuiescent(t, urb.Config{DeltaAcks: true})
-	})
-	t.Run("delta+compact", func(t *testing.T) {
-		testSimCrashRecoverQuiescent(t, urb.Config{DeltaAcks: true, CompactDelivered: true})
 	})
 }
 

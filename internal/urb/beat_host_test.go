@@ -10,7 +10,7 @@ import (
 
 func deltaHost(seed uint64, timeout int64, clock func() int64) *HeartbeatHost {
 	return NewHeartbeatHost(ident.NewSource(xrand.New(seed)), timeout, 1, clock,
-		Config{DeltaAcks: true, DeltaBeats: true, CompactDelivered: true})
+		Config{DeltaAcks: true, DeltaBeats: true})
 }
 
 func beatsOf(s Step) []wire.Message {
@@ -183,7 +183,7 @@ func TestHeartbeatHostRefCollisionAcrossEpochsKeepsLiveness(t *testing.T) {
 }
 
 // TestHeartbeatHostDeltaEndToEnd mirrors TestHeartbeatHostEndToEnd with
-// the delta beat encoding (and compaction) on: detectors converge
+// the delta beat encoding on: detectors converge
 // through snapshot+refresh streams, a broadcast delivers and retires
 // everywhere, and beats keep flowing after algorithm quiescence.
 func TestHeartbeatHostDeltaEndToEnd(t *testing.T) {
@@ -195,7 +195,7 @@ func TestHeartbeatHostDeltaEndToEnd(t *testing.T) {
 	procs := make([]Process, n)
 	for i := range hosts {
 		hosts[i] = NewHeartbeatHost(ident.NewSource(root.Split()), 200, 1, clock,
-			Config{DeltaAcks: true, DeltaBeats: true, CompactDelivered: true})
+			Config{DeltaAcks: true, DeltaBeats: true})
 		procs[i] = hosts[i]
 	}
 	pm := newPump(t, procs...)
@@ -223,8 +223,8 @@ func TestHeartbeatHostDeltaEndToEnd(t *testing.T) {
 		if st.MsgSet != 0 || st.Retired != 1 {
 			t.Fatalf("host %d algorithm not quiescent: %+v", i, st)
 		}
-		if st.CompactedMsgs != 1 {
-			t.Fatalf("host %d did not compact the delivered message: %+v", i, st)
+		if st.AckLabelStorage >= st.AckLabels {
+			t.Fatalf("host %d acker views do not share their label set: %+v", i, st)
 		}
 	}
 	before := hosts[0].BeatsSent()

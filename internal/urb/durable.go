@@ -368,7 +368,10 @@ func snapDigest(payload []byte, fp string) uint64 {
 // cfgFlags packs the Config knobs for the restore-time compatibility
 // check: a snapshot must be restored into an identically configured
 // process (the knobs change behaviour, and a silent flip across a restart
-// would make the recovered process a different algorithm).
+// would make the recovered process a different algorithm). Bit 4 is
+// retired (it was the former CompactDelivered knob): no process writes
+// it, so a snapshot carrying it fails the check with
+// ErrSnapshotMismatch.
 func cfgFlags(c Config) uint8 {
 	var f uint8
 	if c.EagerFirstSend {
@@ -382,9 +385,6 @@ func cfgFlags(c Config) uint8 {
 	}
 	if c.DeltaAcks {
 		f |= 1 << 3
-	}
-	if c.CompactDelivered {
-		f |= 1 << 4
 	}
 	if c.DeltaBeats {
 		f |= 1 << 5
@@ -400,7 +400,6 @@ func cfgFromFlags(f uint8) Config {
 		CheckOnTick:      f&(1<<1) != 0,
 		RetireBeforeSend: f&(1<<2) != 0,
 		DeltaAcks:        f&(1<<3) != 0,
-		CompactDelivered: f&(1<<4) != 0,
 		DeltaBeats:       f&(1<<5) != 0,
 	}
 }
@@ -602,9 +601,8 @@ func (p *Majority) Rejoin() {}
 // (DESIGN.md §10): acker views reference a table of distinct label sets
 // instead of each embedding its own copy, so persisting a quiescent
 // steady state costs kilobytes where the version-1 label matrices cost
-// one set per (message, acker). The table is built at encode time from
-// the sets' values, so compacted and uncompacted processes with equal
-// state produce snapshots of equal shape.
+// one set per (message, acker). The table is the interned sets the views
+// hold, each written once in label order.
 func (p *Quiescent) Snapshot() []byte {
 	var w stateWriter
 	w.u8(snapVersion)
@@ -615,16 +613,15 @@ func (p *Quiescent) Snapshot() []byte {
 	w.u64(p.epochFloor)
 	// First pass: assign set-table indices in deterministic first-use
 	// order over the (first-ACK order, ackerOrder) walk.
-	tableIdx := make(map[string]uint32)
-	var tableSets []*ident.Set
-	refOf := func(s *ident.Set) uint32 {
-		k := setKey(s)
-		if i, ok := tableIdx[k]; ok {
+	tableIdx := make(map[*setEntry]uint32)
+	var tableSets []*setEntry
+	refOf := func(e *setEntry) uint32 {
+		if i, ok := tableIdx[e]; ok {
 			return i
 		}
 		i := uint32(len(tableSets))
-		tableIdx[k] = i
-		tableSets = append(tableSets, s)
+		tableIdx[e] = i
+		tableSets = append(tableSets, e)
 		return i
 	}
 	type viewRef struct {
@@ -639,13 +636,13 @@ func (p *Quiescent) Snapshot() []byte {
 		vs := make([]viewRef, 0, len(st.ackerOrder))
 		for _, acker := range st.ackerOrder {
 			v := st.byAcker[acker]
-			vs = append(vs, viewRef{acker: acker, epoch: v.epoch, synced: v.synced, ref: refOf(v.labels)})
+			vs = append(vs, viewRef{acker: acker, epoch: v.epoch, synced: v.synced, ref: refOf(v.set)})
 		}
 		views[i] = vs
 	}
 	w.u32(uint32(len(tableSets)))
-	for _, s := range tableSets {
-		w.tags(s.Slice())
+	for _, e := range tableSets {
+		w.tags(e.labels)
 	}
 	w.u32(uint32(len(p.acked)))
 	for i, r := range p.acked {
@@ -702,18 +699,21 @@ func (p *Quiescent) Restore(data []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	table := make([][]ident.Tag, 0, tableCnt)
+	// Each table set is interned once, its reference held by the table
+	// until every view has taken its own.
+	p.sets = setIntern{}
+	table := make([]*setEntry, 0, tableCnt)
 	for i := 0; i < tableCnt; i++ {
-		table = append(table, r.tagList())
+		labels := r.tagList()
 		if r.err != nil {
 			return r.err
 		}
+		table = append(table, p.sets.intern(sortLabels(labels)))
 	}
 	cnt := r.count(20 + 8)
 	if r.err != nil {
 		return r.err
 	}
-	p.sets = setIntern{}
 	p.dirty = p.dirty[:0]
 	for i := 0; i < cnt; i++ {
 		id := r.msgID()
@@ -740,13 +740,13 @@ func (p *Quiescent) Restore(data []byte) error {
 			if _, dup := st.byAcker[acker]; dup {
 				return fmt.Errorf("%w: duplicate acker in snapshot", ErrSnapshotMismatch)
 			}
-			v := &ackerView{labels: ident.NewSet(table[ref]...), epoch: epoch, synced: synced}
-			for _, l := range v.labels.Slice() {
+			e := table[ref]
+			e.refs++
+			for _, l := range e.labels {
 				st.bump(l)
 			}
-			st.byAcker[acker] = v
+			st.byAcker[acker] = &ackerView{set: e, epoch: epoch, synced: synced}
 			st.ackerOrder = append(st.ackerOrder, acker)
-			st.internView(&p.sets, v)
 		}
 		reqs := r.count(16 + 8)
 		for j := 0; j < reqs; j++ {
@@ -784,6 +784,9 @@ func (p *Quiescent) Restore(data []byte) error {
 	digest := r.u64()
 	if err := r.done(); err != nil {
 		return err
+	}
+	for _, e := range table {
+		p.sets.release(e)
 	}
 	p.retired = int(retired)
 	p.ticks = ticks
@@ -824,10 +827,9 @@ func (p *Quiescent) ApplyWAL(rec DurableEvent) error {
 	err := p.applyCommonWAL(rec, rec.Kind != WALDeliver)
 	if err == nil && rec.Kind == WALDeliver {
 		// The replayed delivery makes the message retirement-eligible
-		// (and compactable) exactly as a live delivery would.
+		// exactly as a live delivery would.
 		if st := p.recs[rec.ID].st; st != nil {
 			st.touch()
-			p.compactState(st)
 		}
 	}
 	p.viewsValid = false

@@ -381,10 +381,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(buildMajority(41).Snapshot())
 	f.Add(buildQuiescent(43, true).Snapshot())
 	f.Add(buildQuiescent(43, false).Snapshot())
-	f.Add(buildQuiescentCfg(44, Config{DeltaAcks: true, CompactDelivered: true}).Snapshot())
+	f.Add(buildQuiescentCfg(44, Config{DeltaAcks: true}).Snapshot())
 	f.Add(buildHeartbeatHost(47).Snapshot())
 	hd := NewHeartbeatHost(ident.NewSource(xrand.New(48)), 50, 1, func() int64 { return 0 },
-		Config{DeltaAcks: true, DeltaBeats: true, CompactDelivered: true})
+		Config{DeltaAcks: true, DeltaBeats: true})
 	hd.Tick() // snapshot beat sent: beatSnapSent persists true
 	f.Add(hd.Snapshot())
 	f.Add([]byte{})

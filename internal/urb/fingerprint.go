@@ -100,7 +100,7 @@ func (p *Quiescent) Fingerprint() string {
 		for _, acker := range st.ackerOrder {
 			v := st.byAcker[acker]
 			var inner fpWriter
-			inner.sortedTags(v.labels.Slice())
+			inner.sortedTags(v.set.labels)
 			ackers = append(ackers, fmt.Sprintf("%s@%d/%t->{%s}", acker, v.epoch, v.synced, inner.b.String()))
 		}
 		sort.Strings(ackers)

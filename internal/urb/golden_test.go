@@ -198,10 +198,10 @@ func TestGoldenSnapshots(t *testing.T) {
 	}{
 		{"quiescent-paper", func() string { return goldenQuiescent(Config{}) }},
 		{"quiescent-delta", func() string {
-			return goldenQuiescent(Config{DeltaAcks: true, CompactDelivered: true, CheckOnTick: true, RetireBeforeSend: true})
+			return goldenQuiescent(Config{DeltaAcks: true, CheckOnTick: true, RetireBeforeSend: true})
 		}},
 		{"heartbeat-host", func() string {
-			return goldenHeartbeat(Config{DeltaAcks: true, DeltaBeats: true, CompactDelivered: true})
+			return goldenHeartbeat(Config{DeltaAcks: true, DeltaBeats: true})
 		}},
 		{"majority", goldenMajority},
 	}

@@ -1,6 +1,8 @@
 package urb
 
 import (
+	"slices"
+
 	"anonurb/internal/fd"
 	"anonurb/internal/ident"
 	"anonurb/internal/obs"
@@ -334,7 +336,7 @@ func (h *HeartbeatHost) Explain(id wire.MsgID) obs.Explanation { return h.inner.
 
 // beatSetKey renders a label list's order-insensitive identity.
 func beatSetKey(labels []ident.Tag) string {
-	return setKey(ident.NewSet(labels...))
+	return string(appendSetKey(nil, sortLabels(slices.Clone(labels))))
 }
 
 // tagIn reports membership in a small slice (beat announcements hold a

@@ -69,8 +69,8 @@ type Quiescent struct {
 	// (lost) higher pre-crash epochs would discard its ACKs as stale —
 	// forever. 0 for a process that never recovered.
 	epochFloor uint64
-	// sets interns the shared label sets of compacted acker views
-	// (Config.CompactDelivered, DESIGN.md §10).
+	// sets interns the label sets every acker view holds (D6, DESIGN.md
+	// §10).
 	sets setIntern
 	// resync is the D9 per-tick ACKREQ budget (Config.PaceResyncs);
 	// pacing state, excluded from snapshots and fingerprints.
@@ -120,17 +120,14 @@ type ackSendState struct {
 // ackerView is one acker's entry in the receiver-side bookkeeping: the
 // label set from its latest applied ACK plus the delta-stream position.
 type ackerView struct {
-	labels *ident.Set
-	// entry is the intern-table entry labels is shared through, nil for
-	// an exclusively owned set. A shared set is immutable: every
-	// mutation path copies first (and the compacted state re-interns the
-	// result), so sharing never changes what the view reads.
-	entry *setEntry
+	// set is the interned label set (one reference held). It is
+	// immutable: every change re-interns the successor set.
+	set *setEntry
 	// epoch is the last applied delta epoch (0 for legacy full-set ACKs,
 	// which carry no epoch).
 	epoch uint64
-	// synced reports whether labels is known to equal the acker's ledger
-	// at epoch, i.e. whether the next delta may be folded in. Legacy
+	// synced reports whether set is known to equal the acker's ledger at
+	// epoch, i.e. whether the next delta may be folded in. Legacy
 	// full-set ACKs leave it false (no epoch to sequence against); the
 	// D4 purge clears it when it locally removes labels the acker still
 	// claims remotely.
@@ -164,9 +161,6 @@ type ackState struct {
 	// retirement pass; while it stays clear under unchanged detector
 	// views, both operations are no-ops and are skipped.
 	dirty bool
-	// compacted marks that this message's views run on interned shared
-	// sets (delivered under Config.CompactDelivered).
-	compacted bool
 	// rec is the message's record and queue the owning process's dirty
 	// queue, which touch appends rec to.
 	rec   *msgRec
@@ -211,35 +205,31 @@ func (a *ackState) drop(label ident.Tag) {
 	}
 }
 
-// internView moves a view's exclusively owned set into the intern table
-// (compacted messages only); the view's set pointer becomes the shared
-// canonical copy.
-func (a *ackState) internView(in *setIntern, v *ackerView) {
-	if !a.compacted || v.entry != nil {
-		return
+// setView moves v onto the interned successor set next (sorted and
+// duplicate-free, possibly scratch space): labels next adds are counted
+// up, labels it no longer claims are counted down. An unchanged set keeps
+// its entry and touches nothing.
+func (a *ackState) setView(in *setIntern, v *ackerView, next []ident.Tag) {
+	cur := v.set.labels
+	changed := false
+	for i, j := 0, 0; i < len(cur) || j < len(next); {
+		switch {
+		case j == len(next) || i < len(cur) && cur[i].Less(next[j]):
+			a.drop(cur[i])
+			i++
+			changed = true
+		case i == len(cur) || next[j].Less(cur[i]):
+			a.bump(next[j])
+			j++
+			changed = true
+		default:
+			i++
+			j++
+		}
 	}
-	v.entry = in.intern(v.labels)
-	v.labels = v.entry.labels
-}
-
-// disownView gives a view exclusive, mutable ownership of its set:
-// shared sets are cloned first (copy-on-write).
-func (a *ackState) disownView(in *setIntern, v *ackerView) {
-	if v.entry == nil {
-		return
-	}
-	s := v.labels.Clone()
-	in.release(v.entry)
-	v.entry = nil
-	v.labels = s
-}
-
-// dropView releases a view's interned set, if any (the view is being
-// deleted or its set replaced wholesale).
-func (a *ackState) dropView(in *setIntern, v *ackerView) {
-	if v.entry != nil {
-		in.release(v.entry)
-		v.entry = nil
+	if changed {
+		in.release(v.set)
+		v.set = in.intern(next)
 	}
 }
 
@@ -251,57 +241,22 @@ func (a *ackState) dropView(in *setIntern, v *ackerView) {
 // record the delta-stream position the set corresponds to (0/false for
 // legacy full-set ACKs). Returns true if the acker is new.
 func (a *ackState) replace(in *setIntern, acker ident.Tag, labels []ident.Tag, epoch uint64, synced bool) bool {
-	cur, known := a.byAcker[acker]
-	if !known {
-		s := ident.NewSet()
-		for _, l := range labels {
-			if s.Add(l) {
-				a.bump(l)
-			}
+	in.buf = sortLabels(append(in.buf[:0], labels...))
+	v, known := a.byAcker[acker]
+	if known {
+		a.setView(in, v, in.buf)
+	} else {
+		for _, l := range in.buf {
+			a.bump(l)
 		}
-		v := &ackerView{labels: s, epoch: epoch, synced: synced}
+		v = &ackerView{set: in.intern(in.buf)}
 		a.byAcker[acker] = v
 		a.ackerOrder = append(a.ackerOrder, acker)
 		a.touch() // membership changed even if the set is empty
-		a.internView(in, v)
-		return true
 	}
-	next := ident.NewSet(labels...)
-	// Unchanged-set fast path: a steady-state re-ACK replaces the set
-	// with an equal one, so the diff accounting below would walk both
-	// sets to change nothing. Only the stream position moves.
-	if next.Len() == cur.labels.Len() {
-		same := true
-		for _, l := range next.Slice() {
-			if !cur.labels.Has(l) {
-				same = false
-				break
-			}
-		}
-		if same {
-			cur.epoch = epoch
-			cur.synced = synced
-			return false
-		}
-	}
-	// Count up the additions.
-	for _, l := range next.Slice() {
-		if !cur.labels.Has(l) {
-			a.bump(l)
-		}
-	}
-	// Count down the removals.
-	for _, l := range cur.labels.Slice() {
-		if !next.Has(l) {
-			a.drop(l)
-		}
-	}
-	a.dropView(in, cur)
-	cur.labels = next
-	cur.epoch = epoch
-	cur.synced = synced
-	a.internView(in, cur)
-	return false
+	v.epoch = epoch
+	v.synced = synced
+	return !known
 }
 
 // applyDelta folds one delta into an in-sync acker view: removals first,
@@ -312,51 +267,24 @@ func (a *ackState) replace(in *setIntern, acker ident.Tag, labels []ident.Tag, e
 // here is one the full-set replace would also have performed: the two
 // paths are state-for-state equivalent.
 func (a *ackState) applyDelta(in *setIntern, v *ackerView, epoch uint64, adds, dels []ident.Tag) {
-	if v.entry != nil {
-		// Copy-on-write, but only when the delta changes membership —
-		// an in-place no-op delta (e.g. removals of absent labels) must
-		// not break the sharing.
-		mutates := false
-		for _, l := range dels {
-			if v.labels.Has(l) {
-				mutates = true
-				break
-			}
-		}
-		if !mutates {
-			for _, l := range adds {
-				if !v.labels.Has(l) {
-					mutates = true
-					break
-				}
-			}
-		}
-		if mutates {
-			a.disownView(in, v)
+	next := in.buf[:0]
+	for _, l := range v.set.labels {
+		if !tagIn(dels, l) {
+			next = append(next, l)
 		}
 	}
-	for _, l := range dels {
-		if v.labels.Remove(l) {
-			a.drop(l)
-		}
-	}
-	for _, l := range adds {
-		if v.labels.Add(l) {
-			a.bump(l)
-		}
-	}
+	in.buf = sortLabels(append(next, adds...))
+	a.setView(in, v, in.buf)
 	v.epoch = epoch
-	a.internView(in, v)
 }
 
 // purge removes every claimed label absent from live, the label set of
 // the current views (deviation D4: stale labels of crashed processes
 // frozen inside ACKs from ackers that will never refresh — e.g. the
 // crashed process's own ACK — would otherwise block the retirement guard
-// forever). Safe
-// because AP* perpetually contains every correct process's label, so a
-// label absent from both current views can only belong to a crashed
-// process.
+// forever). Safe because AP* perpetually contains every correct
+// process's label, so a label absent from both current views can only
+// belong to a crashed process.
 //
 // Ackers whose label set the purge empties are dropped entirely: an
 // empty set contributes nothing to any claim count, passes every
@@ -374,113 +302,36 @@ func (a *ackState) applyDelta(in *setIntern, v *ackerView, epoch uint64, adds, d
 // the delta path could lose a wrongly-purged label forever, because a
 // delta sender — unlike the paper's full-set re-ACKs — never resends
 // labels it believes the receiver already has.
-// purgedEntry memoises one interned set's purge outcome within a single
-// purge pass: the labels the live view kills and the entry the
-// survivors re-intern to (nil when the set empties). Views sharing an
-// entry share the outcome, so a view-shift purge over thousands of
-// compacted views pays the set arithmetic once per distinct set.
-type purgedEntry struct {
-	removed []ident.Tag
-	to      *setEntry
-}
-
 func (a *ackState) purge(in *setIntern, live *ident.Set) {
 	// Last tick's resync-request limiters are spent; dropping the map
 	// wholesale is what keeps it from accumulating entries for ackers
 	// that never got admitted (e.g. crashed before their snapshot).
 	a.reqTick = nil
-	var memo map[*setEntry]purgedEntry
 	kept := a.ackerOrder[:0]
 	for _, acker := range a.ackerOrder {
 		v := a.byAcker[acker]
-		if v.entry != nil {
-			// Shared set: compute (or reuse) the entry's purge outcome.
-			pe, ok := memo[v.entry]
-			if !ok {
-				for _, l := range v.entry.labels.Slice() {
-					if !live.Has(l) {
-						pe.removed = append(pe.removed, l)
-					}
-				}
-				if n := len(pe.removed); n > 0 && n < v.entry.labels.Len() {
-					next := ident.NewSet()
-					for _, l := range v.entry.labels.Slice() {
-						if live.Has(l) {
-							next.Add(l)
-						}
-					}
-					pe.to = in.intern(next)
-					// The intern above took the memo's own reference; it is
-					// released when the pass ends (each surviving view takes
-					// its own below), keeping the entry alive meanwhile.
-				}
-				if memo == nil {
-					memo = make(map[*setEntry]purgedEntry)
-				}
-				memo[v.entry] = pe
+		next := in.buf[:0]
+		for _, l := range v.set.labels {
+			if live.Has(l) {
+				next = append(next, l)
 			}
-			if len(pe.removed) == 0 {
-				if v.entry.labels.Len() == 0 {
-					// Empty-set ackers are dropped (nothing claims, never
-					// refreshed), shared or not.
-					in.release(v.entry)
-					v.entry = nil
-					delete(a.byAcker, acker)
-					continue
-				}
-				kept = append(kept, acker)
-				continue
-			}
-			for _, l := range pe.removed {
+		}
+		in.buf = next
+		if len(next) == 0 {
+			for _, l := range v.set.labels {
 				a.drop(l)
 			}
-			in.release(v.entry)
-			if pe.to == nil { // the whole set was stale: drop the acker
-				v.entry = nil
-				delete(a.byAcker, acker)
-				continue
-			}
-			pe.to.refs++
-			v.entry = pe.to
-			v.labels = pe.to.labels
-			v.synced = false
-			kept = append(kept, acker)
-			continue
-		}
-		// Exclusive set: scan before touching (steady state is no-op).
-		stale := false
-		for _, l := range v.labels.Slice() {
-			if !live.Has(l) {
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			if v.labels.Len() == 0 {
-				delete(a.byAcker, acker)
-				continue
-			}
-			kept = append(kept, acker)
-			continue
-		}
-		for _, l := range append([]ident.Tag(nil), v.labels.Slice()...) {
-			if !live.Has(l) {
-				v.labels.Remove(l)
-				a.drop(l)
-				v.synced = false
-			}
-		}
-		if v.labels.Len() == 0 {
+			in.release(v.set)
 			delete(a.byAcker, acker)
 			continue
 		}
-		a.internView(in, v)
+		if len(next) < len(v.set.labels) {
+			a.setView(in, v, next)
+			v.synced = false
+		}
 		kept = append(kept, acker)
 	}
 	a.ackerOrder = kept
-	for _, pe := range memo {
-		in.release(pe.to) // release(nil) is a no-op
-	}
 }
 
 // ackers returns the number of distinct tag_acks seen.
@@ -718,9 +569,6 @@ func (p *Quiescent) receiveAckResync(m wire.Message) Step {
 func (p *Quiescent) ackStateFor(r *msgRec) *ackState {
 	if r.st == nil {
 		r.st = newAckState(r, &p.dirty)
-		// Straggler ACKs for an already-delivered (possibly retired)
-		// message open their state directly in compacted form.
-		r.st.compacted = p.cfg.CompactDelivered && r.is(recDelivered)
 		p.noteAcked(r)
 	}
 	return r.st
@@ -740,7 +588,6 @@ func (p *Quiescent) checkDeliver(out *Step, r *msgRec) {
 			// Delivery makes the message retirement-eligible: the next
 			// Tick must evaluate it even under unchanged views.
 			st.touch()
-			p.compactState(st)
 			return
 		}
 	}
@@ -757,37 +604,6 @@ func (p *Quiescent) checkDeliver(out *Step, r *msgRec) {
 			}
 		}
 		p.tr.AckProgress(r.id, best.Label, bestHave, best.Number)
-	}
-}
-
-// compactState switches a delivered message's acker views onto interned
-// shared sets (Config.CompactDelivered, DESIGN.md §10). Idempotent; a
-// no-op when compaction is off.
-//
-// The dominant case at delivery time is every acker holding the same
-// post-GST view, so the canonical key (a sort plus a string build) is
-// computed once: runs of views equal to the previously interned set
-// take a reference directly.
-func (p *Quiescent) compactState(st *ackState) {
-	if st.compacted || !p.cfg.CompactDelivered {
-		return
-	}
-	st.compacted = true
-	var last *setEntry
-	for _, acker := range st.ackerOrder {
-		v := st.byAcker[acker]
-		if v.entry != nil {
-			last = v.entry
-			continue
-		}
-		if last != nil && v.labels.Equal(last.labels) {
-			last.refs++
-			v.entry = last
-			v.labels = last.labels
-			continue
-		}
-		st.internView(&p.sets, v)
-		last = v.entry
 	}
 }
 
@@ -811,8 +627,10 @@ func (p *Quiescent) retireReady(r *msgRec, star fd.View) bool {
 	// No acker still claims a label outside the AP* view (the paper's
 	// all_labels = {label | (label,-) ∈ a_p*} clause).
 	for _, acker := range st.ackerOrder {
-		if !st.byAcker[acker].labels.SubsetOf(p.starSet) {
-			return false
+		for _, l := range st.byAcker[acker].set.labels {
+			if !p.starSet.Has(l) {
+				return false
+			}
 		}
 	}
 	return true
@@ -913,18 +731,11 @@ func byOrd(a, b *msgRec) int { return a.ord - b.ord }
 
 // Stats implements Process.
 func (p *Quiescent) Stats() Stats {
-	entries, logical, exclusive, compacted := 0, 0, 0, 0
+	entries, logical := 0, 0
 	for _, r := range p.acked {
-		st := r.st
-		entries += st.ackers()
-		if st.compacted {
-			compacted++
-		}
-		for _, v := range st.byAcker {
-			logical += v.labels.Len()
-			if v.entry == nil {
-				exclusive += v.labels.Len()
-			}
+		entries += r.st.ackers()
+		for _, v := range r.st.byAcker {
+			logical += len(v.set.labels)
 		}
 	}
 	return Stats{
@@ -935,8 +746,7 @@ func (p *Quiescent) Stats() Stats {
 		Retired:         p.retired,
 		WireSent:        p.wireSent,
 		AckLabels:       logical,
-		AckLabelStorage: exclusive + p.sets.storage(),
-		CompactedMsgs:   compacted,
+		AckLabelStorage: p.sets.storage(),
 	}
 }
 
@@ -1021,7 +831,7 @@ func (p *Quiescent) Explain(id wire.MsgID) obs.Explanation {
 		if st != nil && len(star) > 0 {
 			starLabels := star.Labels()
 			for _, acker := range st.ackerOrder {
-				for _, l := range st.byAcker[acker].labels.Slice() {
+				for _, l := range st.byAcker[acker].set.labels {
 					if !starLabels.Has(l) && !tagIn(ex.StrayLabels, l) {
 						ex.StrayLabels = append(ex.StrayLabels, l)
 					}

@@ -100,7 +100,7 @@ func TestQuiescentCleanTickAllocatesNothing(t *testing.T) {
 	view := fd.Normalize(fd.View{{Label: lbl(1), Number: 3}, {Label: lbl(2), Number: 3}, {Label: lbl(3), Number: 3}})
 	for name, cfg := range map[string]Config{
 		"paper":         {},
-		"delta-compact": {DeltaAcks: true, CompactDelivered: true, CheckOnTick: true},
+		"delta-compact": {DeltaAcks: true, CheckOnTick: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			p := NewQuiescent(fd.Static{Theta: view, Star: view}, ident.NewSource(xrand.New(5)), cfg)
@@ -136,7 +136,7 @@ func (d *recordingDetector) APStar() fd.View { return d.hand(d.star) }
 func TestQuiescentNeverMutatesViews(t *testing.T) {
 	full := fd.Normalize(fd.View{{Label: lbl(1), Number: 3}, {Label: lbl(2), Number: 3}, {Label: lbl(3), Number: 3}})
 	shrunk := fd.Normalize(fd.View{{Label: lbl(1), Number: 2}, {Label: lbl(2), Number: 2}})
-	for _, cfg := range []Config{{CheckOnTick: true}, {DeltaAcks: true, CompactDelivered: true, CheckOnTick: true}} {
+	for _, cfg := range []Config{{CheckOnTick: true}, {DeltaAcks: true, CheckOnTick: true}} {
 		det := &recordingDetector{theta: full, star: full}
 		p := NewQuiescent(det, ident.NewSource(xrand.New(9)), cfg)
 		check := func(when string) {

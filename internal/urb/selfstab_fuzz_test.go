@@ -224,7 +224,7 @@ func driveNoRedelivery(t *testing.T, p Process, delivered map[wire.MsgID]bool) {
 func FuzzRestoreArbitraryState(f *testing.F) {
 	f.Add(buildQuiescent(61, false).Snapshot())
 	f.Add(buildQuiescent(62, true).Snapshot())
-	f.Add(buildQuiescentCfg(63, Config{DeltaAcks: true, CompactDelivered: true}).Snapshot())
+	f.Add(buildQuiescentCfg(63, Config{DeltaAcks: true}).Snapshot())
 	f.Add(buildHeartbeatHost(64).Snapshot())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		arbitraryRestore(t, data)

@@ -113,19 +113,15 @@ type Stats struct {
 	// WireSent counts wire messages this process asked to broadcast.
 	WireSent uint64
 	// AckLabels is the logical label count retained across all acker
-	// views: what the paper's all_labels bookkeeping holds, and what an
-	// uncompacted Algorithm 2 process physically stores. 0 for
-	// Algorithm 1 (its ACKs carry no labels).
+	// views: what the paper's all_labels bookkeeping holds, counting
+	// each (message, acker) view's labels. 0 for Algorithm 1 (its ACKs
+	// carry no labels).
 	AckLabels int
-	// AckLabelStorage is the label count physically stored: with
-	// Config.CompactDelivered the views of delivered messages share
-	// interned sets, so in steady state this collapses to roughly one
-	// set per distinct detector view instead of one per (message,
-	// acker). Equal to AckLabels when compaction is off.
+	// AckLabelStorage is the label count physically stored: acker views
+	// share interned sets (deviation D6, DESIGN.md §10), so in steady
+	// state this collapses to roughly one set per distinct detector view
+	// instead of one per (message, acker).
 	AckLabelStorage int
-	// CompactedMsgs counts messages whose acker views run compacted
-	// (delivered messages under Config.CompactDelivered).
-	CompactedMsgs int
 }
 
 // Config carries the knobs shared by both algorithms. The zero value is
@@ -163,17 +159,11 @@ type Config struct {
 	// every time, so this is off in the paper-faithful zero value.
 	// Receiving delta ACKs is always supported, whatever this is set to.
 	DeltaAcks bool
-	// CompactDelivered, when true, compacts a message's per-acker label
-	// views once the message is URB-delivered (deviation D6, DESIGN.md
-	// §10): the views collapse onto refcount-interned shared sets
-	// (copy-on-write), so a
-	// quiescent steady state stores each distinct detector view roughly
-	// once instead of once per (message, acker). Compaction is applied
-	// only post-delivery, where uniformity is already secured locally;
-	// the claim counters and every guard decision are bit-identical to
-	// the uncompacted bookkeeping (TestQuiescentCompactionEquivalence).
-	// Off in the paper-faithful zero value purely because the paper
-	// stores the matrices literally.
+	// CompactDelivered has no effect: every configuration, the zero
+	// value included, holds acker views as refcount-interned shared sets
+	// (deviation D6, DESIGN.md §10), and snapshots no longer record it.
+	//
+	// Deprecated: interned views are unconditional; leave it unset.
 	CompactDelivered bool
 	// PaceResyncs, when true, caps how many resync requests — ACKREQ
 	// from the delta-ACK receiver, BEATREQ from the delta-beat receiver
